@@ -10,7 +10,8 @@
 //! |              | simulation crates (plus `splash`) — wall-clock     |
 //! |              | values must never flow into simulation results     |
 //! | `atomic-io`  | direct `fs::write` of artifacts anywhere outside   |
-//! |              | `write_atomic` (crate `src/` trees and `examples/`)|
+//! |              | `write_atomic` (crate `src/` trees, `examples/`    |
+//! |              | and the benchmark's `perfbench/src`)               |
 //! | `no-lossy-cast` | bare `as u32` / `as usize` in non-test code of  |
 //! |              | `simcore`, `coherence`, and `tango` — width        |
 //! |              | conversions go through `try_from` or the helpers   |
@@ -465,7 +466,11 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
 
     // atomic-io: manifests/reports must go through write_atomic
     // (tmp + fsync + rename), never bare fs::write.
-    let mut io_dirs: Vec<PathBuf> = vec![root.join("src"), root.join("examples")];
+    let mut io_dirs: Vec<PathBuf> = vec![
+        root.join("src"),
+        root.join("examples"),
+        root.join("perfbench/src"),
+    ];
     if let Ok(crates) = std::fs::read_dir(root.join("crates")) {
         let mut cs: Vec<_> = crates.flatten().map(|e| e.path()).collect();
         cs.sort();

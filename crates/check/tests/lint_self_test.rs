@@ -57,6 +57,10 @@ fn fixture_tree_trips_every_rule() {
     let serve_io = findings_for(&findings, "atomic-io", "raw_store_write.rs");
     assert_eq!(serve_io.len(), 1, "{serve_io:?}");
 
+    // ... and the benchmark's report writes.
+    let bench_io = findings_for(&findings, "atomic-io", "perfbench/src/raw_bench_write.rs");
+    assert_eq!(bench_io.len(), 1, "{bench_io:?}");
+
     // no-panic covers the chaos fault-injection layer: an injected
     // fault that panics instead of degrading reports like any other
     // serve-crate panic.

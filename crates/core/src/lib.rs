@@ -14,9 +14,10 @@
 //! * [`report`] — text renderings of every figure and table.
 //! * [`paper_data`] — the paper's published numbers, embedded for
 //!   side-by-side comparison.
-//! * [`parallel`] — the pipelined two-phase executor and chunked
-//!   work-stealing fan-out for the embarrassingly parallel experiment
-//!   matrix (`--jobs` / `STUDY_JOBS`).
+//! * [`parallel`] — the two executors for the embarrassingly parallel
+//!   experiment matrix (`--jobs` / `STUDY_JOBS`): the guarded
+//!   pipelined gen+sim executor behind [`StudySpec`], and the flat
+//!   chunk-stealing runner that streams results in input order.
 //! * [`manifest`] — machine-readable run manifests (JSON/CSV) with a
 //!   stable schema, emitted by the `cluster-bench` regenerators.
 
@@ -35,9 +36,8 @@ pub use contention::{bank_conflict_probability, shared_cache_factor};
 pub use latency_factor::{measure_latency_factors, LatencyFactors};
 pub use manifest::{write_atomic, Manifest, RunError, RunRecord, ServedBy};
 pub use parallel::{
-    resolve_jobs, run_items, run_items_chunked, run_items_timed, run_pipeline,
-    run_pipeline_guarded, FanoutTiming, GuardedEvent, GuardedRun, ItemReport, Phase, PhaseSample,
-    PipelineRun, RunPolicy, RunStatus,
+    resolve_jobs, run_items, run_pipeline_guarded, FanoutTiming, GuardedEvent, GuardedRun,
+    ItemReport, Phase, RunPolicy, RunStatus,
 };
 pub use study::{
     run_config, run_config_sampled, CapacitySweep, CellOutcome, ClusterSweep, GenOutcome,

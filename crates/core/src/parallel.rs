@@ -3,24 +3,26 @@
 //! The paper's core experiment — 9 applications × 4 cluster sizes × 4
 //! cache specifications — replays independent deterministic
 //! simulations, so the only thing serial execution buys is wasted
-//! wall-clock. This module provides two executors used by
-//! [`crate::study`]'s sweeps, the `paper_run` driver, and the
-//! `cluster-bench` binaries, both with a `--jobs` knob (`STUDY_JOBS`
-//! env var, default: all available cores):
+//! wall-clock. This module provides two executors, both with a
+//! `--jobs` knob (`STUDY_JOBS` env var, default: all available cores):
 //!
-//! * [`run_items`] / [`run_items_chunked`] — a flat scoped-thread
-//!   work-stealing loop over one homogeneous item pool. Workers steal
-//!   *chunks* of consecutive indices rather than one index at a time,
-//!   so a 144-item matrix costs a handful of atomic RMWs per worker
-//!   instead of one per item.
-//! * [`run_pipeline`] — the two-phase pipelined executor: per-app
-//!   input *generation* and the *simulations* that consume those
-//!   inputs are scheduled on the same worker pool, so generation
-//!   overlaps simulation instead of strictly preceding it. A worker
-//!   that generates an app's trace immediately simulates that app
-//!   (per-app affinity: the trace is consumed hot by the worker that
-//!   built it) and only then steals chunks of other apps' work. Every
-//!   item reports a [`PhaseSample`] (`{phase: gen|sim, wall}`).
+//! * [`run_pipeline_guarded`] — the two-phase pipelined executor behind
+//!   [`crate::study::StudySpec`]: per-app input *generation* and the
+//!   *simulations* that consume those inputs are scheduled on the same
+//!   worker pool, so generation overlaps simulation instead of strictly
+//!   preceding it. A worker that generates an app's trace immediately
+//!   simulates that app (per-app affinity: the trace is consumed hot by
+//!   the worker that built it) and only then steals chunks of other
+//!   apps' work. Every item runs under a [`RunPolicy`] and settles into
+//!   an [`ItemReport`]. One worker (`--jobs 1`) runs inline on the
+//!   calling thread.
+//! * [`run_items_streamed`] — a flat scoped-thread work-stealing loop
+//!   over one homogeneous item pool (`cluster_serve` cells, the
+//!   sampling harness) that hands results to the caller in input order
+//!   as they complete; [`run_items`] is the same loop without the
+//!   callback. Workers steal *chunks* of consecutive indices rather
+//!   than one index at a time, so a 144-item matrix costs a handful of
+//!   atomic RMWs per worker instead of one per item.
 //!
 //! Simulations are pure functions of `(trace, machine config)`, so
 //! both executors are **bit-identical** to the serial path: results
@@ -50,77 +52,40 @@ pub fn resolve_jobs(requested: Option<usize>) -> usize {
         })
 }
 
-/// Default steal-chunk size: aim for a few chunks per worker so the
-/// tail stays balanced while the atomic counter stays cool.
-pub fn default_chunk(items: usize, jobs: usize) -> usize {
+/// Steal-chunk size of the flat runner: aim for a few chunks per
+/// worker so the tail stays balanced while the atomic counter stays
+/// cool.
+fn default_chunk(items: usize, jobs: usize) -> usize {
     (items / (jobs.max(1) * 4)).clamp(1, 64)
 }
 
 /// Runs `f` over every item on up to `jobs` scoped threads, returning
-/// outputs **in input order**. `jobs <= 1` degenerates to a plain
-/// serial loop (no threads spawned at all), which is the comparison
-/// baseline for the bit-identical guarantee. Workers steal index
-/// chunks of [`default_chunk`] size.
+/// outputs **in input order**: [`run_items_streamed`] with no
+/// delivery callback.
 pub fn run_items<I, O, F>(items: &[I], jobs: usize, f: F) -> Vec<O>
 where
     I: Sync,
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    run_items_chunked(items, jobs, default_chunk(items.len(), jobs), f)
+    run_items_streamed(items, jobs, f, |_, _| {})
 }
 
-/// [`run_items`] with an explicit steal-chunk size: each claim takes
-/// `chunk` consecutive indices off the shared counter. `chunk = 1` is
-/// the classic one-at-a-time stealing; larger chunks amortize the
-/// atomic traffic at a small cost in tail balance.
-pub fn run_items_chunked<I, O, F>(items: &[I], jobs: usize, chunk: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    if jobs <= 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = chunk.max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<O>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let workers = jobs.min(items.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= items.len() {
-                    break;
-                }
-                let end = (start + chunk).min(items.len());
-                for i in start..end {
-                    *slots[i].lock().unwrap() = Some(f(&items[i]));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("worker filled every slot"))
-        .collect()
-}
-
-/// [`run_items`] that additionally delivers results **incrementally,
-/// in input order** to `on_ready` on the calling thread — the study
-/// hook behind `cluster_serve`'s streaming cursor op: a client sees
-/// cell 0 the moment it (and nothing before it) is done, instead of
-/// waiting for the whole matrix.
+/// Runs `f` over every item on up to `jobs` scoped threads, returning
+/// outputs **in input order** and additionally delivering them
+/// **incrementally, in input order** to `on_ready` on the calling
+/// thread — the study hook behind `cluster_serve`'s streaming cursor
+/// op: a client sees cell 0 the moment it (and nothing before it) is
+/// done, instead of waiting for the whole matrix.
 ///
-/// Workers steal index chunks exactly like [`run_items_chunked`] and
-/// send `(index, output)` over a channel; the caller's thread parks
-/// out-of-order completions and flushes the contiguous prefix, so
-/// `on_ready(i, &out)` fires exactly once per item, strictly in index
-/// order, and never concurrently (it is `FnMut`, not `Sync`). The
-/// returned vector is bit-identical to [`run_items`]. `jobs <= 1`
-/// degenerates to a plain serial loop that calls `on_ready` after
-/// each item with no threads spawned.
+/// Workers steal chunks of consecutive indices off a shared counter
+/// and send `(index, output)` over a channel; the caller's thread
+/// parks out-of-order completions and flushes the contiguous prefix,
+/// so `on_ready(i, &out)` fires exactly once per item, strictly in
+/// index order, and never concurrently (it is `FnMut`, not `Sync`).
+/// `jobs <= 1` degenerates to a plain serial loop that calls
+/// `on_ready` after each item with no threads spawned — the comparison
+/// baseline for the bit-identical guarantee.
 pub fn run_items_streamed<I, O, F, C>(items: &[I], jobs: usize, f: F, mut on_ready: C) -> Vec<O>
 where
     I: Sync,
@@ -183,20 +148,6 @@ where
         .collect()
 }
 
-/// [`run_items`] with per-item wall-clock, for speedup reporting.
-pub fn run_items_timed<I, O, F>(items: &[I], jobs: usize, f: F) -> Vec<(O, Duration)>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    run_items(items, jobs, |item| {
-        let start = Instant::now();
-        let out = f(item);
-        (out, start.elapsed())
-    })
-}
-
 /// Which pipeline phase a work item belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
@@ -214,20 +165,6 @@ impl Phase {
             Phase::Sim => "sim",
         }
     }
-}
-
-/// One completed work item's timing report, delivered to the progress
-/// callback of [`run_pipeline`] as soon as the item finishes (so a
-/// driver log shows generation and simulation interleaving).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseSample {
-    /// Which phase the item belonged to.
-    pub phase: Phase,
-    /// Index into the phase's input slice (`gen_inputs` or
-    /// `sim_items`).
-    pub index: usize,
-    /// Wall-clock of this item alone.
-    pub wall: Duration,
 }
 
 /// Fault-tolerance policy for one pipelined run: how many times to
@@ -484,21 +421,7 @@ pub struct GuardedEvent<'a, O> {
     pub value: Option<&'a O>,
 }
 
-/// Everything a pipelined fan-out produced: generated inputs, sim
-/// outputs (both with per-item walls, in input order) and the
-/// aggregate [`FanoutTiming`].
-#[derive(Debug)]
-pub struct PipelineRun<T, O> {
-    /// Generated values with per-item gen wall, in `gen_inputs` order.
-    pub gen: Vec<(T, Duration)>,
-    /// Simulation outputs with per-item sim wall, in `sim_items`
-    /// order.
-    pub sims: Vec<(O, Duration)>,
-    /// Aggregate timing of the whole pipeline.
-    pub timing: FanoutTiming,
-}
-
-/// The pipelined two-phase executor.
+/// The fault-tolerant pipelined two-phase executor.
 ///
 /// `gen_inputs[g]` is turned into a value `T` by `gen_f`; each sim
 /// item `(g, s)` consumes the generated `T` of its `g` via `sim_f`.
@@ -514,76 +437,16 @@ pub struct PipelineRun<T, O> {
 ///    input.
 /// 3. **Steal last** — otherwise it steals a chunk of simulations
 ///    from any input already generated (`chunk` consecutive items per
-///    claim, see [`run_items_chunked`]).
+///    claim).
 ///
-/// `progress` is invoked (possibly concurrently) once per completed
-/// item. `jobs <= 1` runs the exact serial baseline: generate `g`,
-/// run all of `g`'s simulations, move to `g+1` — no threads at all.
-/// Outputs are keyed by input index either way, so results are
-/// bit-identical across any job count.
-pub fn run_pipeline<GI, T, SI, O, GF, SF, PF>(
-    gen_inputs: &[GI],
-    sim_items: &[(usize, SI)],
-    jobs: usize,
-    chunk: usize,
-    gen_f: GF,
-    sim_f: SF,
-    progress: PF,
-) -> PipelineRun<T, O>
-where
-    GI: Sync,
-    T: Send + Sync,
-    SI: Sync,
-    O: Send,
-    GF: Fn(&GI) -> T + Sync,
-    SF: Fn(&T, &SI) -> O + Sync,
-    PF: Fn(PhaseSample) + Sync,
-{
-    let run = run_pipeline_guarded(
-        gen_inputs,
-        sim_items,
-        jobs,
-        chunk,
-        &RunPolicy::none(),
-        gen_f,
-        sim_f,
-        |ev: GuardedEvent<'_, O>| {
-            if !ev.report.failed() {
-                progress(PhaseSample {
-                    phase: ev.report.phase,
-                    index: ev.report.index,
-                    wall: ev.report.wall,
-                });
-            }
-        },
-    );
-    if let Some(r) = run.failures().next() {
-        panic!(
-            "pipeline {} item {} failed: {}",
-            r.phase.label(),
-            r.index,
-            r.error.as_deref().unwrap_or("unknown")
-        );
-    }
-    PipelineRun {
-        gen: run
-            .gen
-            .into_iter()
-            .map(|g| g.expect("complete run generated every input"))
-            .collect(),
-        sims: run
-            .sims
-            .into_iter()
-            .map(|s| s.expect("complete run filled every sim slot"))
-            .collect(),
-        timing: run.timing,
-    }
-}
-
-/// The fault-tolerant pipelined executor: [`run_pipeline`]'s
-/// scheduling (affinity first, generate next, steal last; `jobs <= 1`
-/// is the exact serial path with no threads) with every work item run
-/// under the [`RunPolicy`]:
+/// With one worker (`jobs <= 1`) the loop runs inline on the calling
+/// thread — no threads at all — and the rules reduce to the serial
+/// order: generate `g`, run `g`'s simulations in input order, move to
+/// `g+1`; a failed generator's skips follow its report. Outputs are
+/// keyed by input index either way, so results are bit-identical
+/// across any job count.
+///
+/// Every work item runs under the [`RunPolicy`]:
 ///
 /// * each attempt is wrapped in `std::panic::catch_unwind`, so a
 ///   panicking item is *recorded* — phase, index, attempts, payload —
@@ -634,61 +497,6 @@ where
     let mut per_gen: Vec<Vec<usize>> = vec![Vec::new(); gen_inputs.len()];
     for (i, (g, _)) in sim_items.iter().enumerate() {
         per_gen[*g].push(i);
-    }
-
-    if jobs <= 1 {
-        // The measured serial baseline: affinity order, one thread.
-        let mut gen: Vec<Option<(T, Duration)>> = Vec::with_capacity(gen_inputs.len());
-        let mut gen_reports = Vec::with_capacity(gen_inputs.len());
-        let mut sims: Vec<Option<(O, Duration)>> = sim_items.iter().map(|_| None).collect();
-        let mut sim_reports: Vec<Option<ItemReport>> = sim_items.iter().map(|_| None).collect();
-        for (g, input) in gen_inputs.iter().enumerate() {
-            let (val, report) = attempt_item(policy, Phase::Gen, g, || gen_f(input));
-            progress(GuardedEvent {
-                report: &report,
-                value: None,
-            });
-            match val {
-                Some(val) => {
-                    for &si in &per_gen[g] {
-                        let (out, rep) =
-                            attempt_item(policy, Phase::Sim, si, || sim_f(&val, &sim_items[si].1));
-                        let out = out.map(|o| (o, rep.wall));
-                        progress(GuardedEvent {
-                            report: &rep,
-                            value: out.as_ref().map(|(o, _)| o),
-                        });
-                        sims[si] = out;
-                        sim_reports[si] = Some(rep);
-                    }
-                    gen.push(Some((val, report.wall)));
-                }
-                None => {
-                    for &si in &per_gen[g] {
-                        let rep = skipped_report(si, g);
-                        progress(GuardedEvent {
-                            report: &rep,
-                            value: None,
-                        });
-                        sim_reports[si] = Some(rep);
-                    }
-                    gen.push(None);
-                }
-            }
-            gen_reports.push(report);
-        }
-        let sim_reports: Vec<ItemReport> = sim_reports
-            .into_iter()
-            .map(|r| r.expect("serial guarded pipeline reported every sim"))
-            .collect();
-        let timing = guarded_timing(&gen, &sims, 1, start.elapsed());
-        return GuardedRun {
-            gen,
-            sims,
-            gen_reports,
-            sim_reports,
-            timing,
-        };
     }
 
     let total = gen_inputs.len() + sim_items.len();
@@ -768,66 +576,72 @@ where
         }
     };
 
-    let workers = jobs.min(total.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut affinity: Option<usize> = None;
-                loop {
-                    // 1. Affinity: drain the app this worker generated.
-                    if let Some(g) = affinity {
-                        if drain_chunk(g) {
-                            continue;
-                        }
-                        affinity = None;
-                    }
-                    // 2. Generate the next ungenerated input.
-                    let g = gen_next.fetch_add(1, Ordering::Relaxed);
-                    if g < gen_inputs.len() {
-                        let (val, report) =
-                            attempt_item(policy, Phase::Gen, g, || gen_f(&gen_inputs[g]));
-                        let failed = val.is_none();
-                        if generated[g].set(val.map(|v| (v, report.wall))).is_err() {
-                            unreachable!("generator {g} claimed twice");
-                        }
-                        progress(GuardedEvent {
-                            report: &report,
-                            value: None,
-                        });
-                        gen_report_slots[g]
-                            .set(report)
-                            .expect("gen settled exactly once");
-                        done.fetch_add(1, Ordering::Release);
-                        if failed {
-                            skip_all(g);
-                            affinity = None;
-                        } else {
-                            affinity = Some(g);
-                        }
-                        continue;
-                    }
-                    // 3. Steal a chunk from any generated input.
-                    let mut stole = false;
-                    for (g, cell) in generated.iter().enumerate() {
-                        if matches!(cell.get(), Some(Some(_))) && drain_chunk(g) {
-                            affinity = Some(g);
-                            stole = true;
-                            break;
-                        }
-                    }
-                    if stole {
-                        continue;
-                    }
-                    // 4. Nothing runnable: either all done, or a gen
-                    // still in flight will unlock more sims — yield.
-                    if done.load(Ordering::Acquire) >= total {
-                        break;
-                    }
-                    std::thread::yield_now();
+    // The one scheduling loop, run by every worker.
+    let worker = || {
+        let mut affinity: Option<usize> = None;
+        loop {
+            // 1. Affinity: drain the app this worker generated.
+            if let Some(g) = affinity {
+                if drain_chunk(g) {
+                    continue;
                 }
-            });
+                affinity = None;
+            }
+            // 2. Generate the next ungenerated input.
+            let g = gen_next.fetch_add(1, Ordering::Relaxed);
+            if g < gen_inputs.len() {
+                let (val, report) = attempt_item(policy, Phase::Gen, g, || gen_f(&gen_inputs[g]));
+                let failed = val.is_none();
+                if generated[g].set(val.map(|v| (v, report.wall))).is_err() {
+                    unreachable!("generator {g} claimed twice");
+                }
+                progress(GuardedEvent {
+                    report: &report,
+                    value: None,
+                });
+                gen_report_slots[g]
+                    .set(report)
+                    .expect("gen settled exactly once");
+                done.fetch_add(1, Ordering::Release);
+                if failed {
+                    skip_all(g);
+                    affinity = None;
+                } else {
+                    affinity = Some(g);
+                }
+                continue;
+            }
+            // 3. Steal a chunk from any generated input.
+            let mut stole = false;
+            for (g, cell) in generated.iter().enumerate() {
+                if matches!(cell.get(), Some(Some(_))) && drain_chunk(g) {
+                    affinity = Some(g);
+                    stole = true;
+                    break;
+                }
+            }
+            if stole {
+                continue;
+            }
+            // 4. Nothing runnable: either all done, or a gen still in
+            // flight will unlock more sims — yield.
+            if done.load(Ordering::Acquire) >= total {
+                break;
+            }
+            std::thread::yield_now();
         }
-    });
+    };
+
+    let workers = jobs.min(total.max(1));
+    if workers <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(worker);
+            }
+        });
+    }
 
     let gen: Vec<Option<(T, Duration)>> = generated
         .into_iter()
@@ -845,7 +659,7 @@ where
         .into_iter()
         .map(|c| c.into_inner().expect("every sim reported"))
         .collect();
-    let timing = guarded_timing(&gen, &sims, jobs, start.elapsed());
+    let timing = guarded_timing(&gen, &sims, jobs.max(1), start.elapsed());
     GuardedRun {
         gen,
         sims,
@@ -855,9 +669,9 @@ where
     }
 }
 
-/// [`FanoutTiming`] over the *successful* items of a guarded run
-/// (matching [`FanoutTiming::from_pipeline`] exactly when nothing
-/// failed).
+/// [`FanoutTiming`] over the *successful* items of a guarded run. A
+/// one-job run *is* a measured serial baseline and is recorded as
+/// such.
 fn guarded_timing<T, O>(
     gen: &[Option<(T, Duration)>],
     sims: &[Option<(O, Duration)>],
@@ -912,57 +726,12 @@ pub struct FanoutTiming {
     /// Cumulative wall of simulation-phase items.
     pub sim_wall: Duration,
     /// A *measured* serial wall-clock of the same matrix, when one is
-    /// available (e.g. the run itself was serial, or a recorded
-    /// `--jobs 1` baseline was supplied). Preferred over the estimate
-    /// by [`FanoutTiming::wall_speedup`].
+    /// available (the run itself was serial). Preferred over the
+    /// estimate by [`FanoutTiming::wall_speedup`].
     pub serial_baseline: Option<Duration>,
 }
 
 impl FanoutTiming {
-    /// Builds from [`run_items_timed`] output plus the measured wall.
-    /// All items are attributed to the simulation phase.
-    pub fn from_timed<O>(timed: &[(O, Duration)], jobs: usize, wall: Duration) -> FanoutTiming {
-        let sim_wall: Duration = timed.iter().map(|(_, d)| *d).sum();
-        FanoutTiming {
-            items: timed.len(),
-            jobs,
-            cumulative: sim_wall,
-            wall,
-            gen_wall: Duration::ZERO,
-            sim_wall,
-            serial_baseline: None,
-        }
-    }
-
-    /// Builds from a pipeline's per-phase outputs. With `jobs <= 1`
-    /// the run *is* a measured serial baseline and is recorded as
-    /// such.
-    pub fn from_pipeline<T, O>(
-        gen: &[(T, Duration)],
-        sims: &[(O, Duration)],
-        jobs: usize,
-        wall: Duration,
-    ) -> FanoutTiming {
-        let gen_wall: Duration = gen.iter().map(|(_, d)| *d).sum();
-        let sim_wall: Duration = sims.iter().map(|(_, d)| *d).sum();
-        FanoutTiming {
-            items: sims.len(),
-            jobs,
-            cumulative: gen_wall + sim_wall,
-            wall,
-            gen_wall,
-            sim_wall,
-            serial_baseline: if jobs <= 1 { Some(wall) } else { None },
-        }
-    }
-
-    /// Attaches a measured serial wall (e.g. from a recorded
-    /// `--jobs 1` run of the same matrix) for honest speedup.
-    pub fn with_serial_baseline(mut self, baseline: Duration) -> FanoutTiming {
-        self.serial_baseline = Some(baseline);
-        self
-    }
-
     /// What a serial run of the same items would cost: the sum of
     /// per-item walls across both phases.
     pub fn serial_estimate(&self) -> Duration {
@@ -977,12 +746,6 @@ impl FanoutTiming {
     /// [`FanoutTiming::wall_speedup`] as the headline.
     pub fn occupancy(&self) -> f64 {
         self.cumulative.as_secs_f64() / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Deprecated name for [`FanoutTiming::occupancy`] — the figure
-    /// is *not* an honest speedup (see the type-level docs).
-    pub fn speedup(&self) -> f64 {
-        self.occupancy()
     }
 
     /// Occupancy ÷ jobs: 1.0 means every worker was busy the whole
@@ -1039,17 +802,24 @@ mod tests {
         }
     }
 
+    /// Item and job counts whose steal chunks range from 1 to 64
+    /// indices: every index runs exactly once.
     #[test]
     fn chunked_stealing_covers_every_index_once() {
-        let items: Vec<u64> = (0..97).collect();
-        for chunk in [1, 2, 3, 7, 64, 1000] {
-            for jobs in [2, 5] {
-                let out = run_items_chunked(&items, jobs, chunk, |&x| x + 1);
+        for n in [2usize, 9, 97, 2100] {
+            let items: Vec<u64> = (0..n as u64).collect();
+            for jobs in [2, 5, 8] {
+                let calls = AtomicUsize::new(0);
+                let out = run_items(&items, jobs, |&x| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    x + 1
+                });
                 assert_eq!(
                     out,
                     items.iter().map(|&x| x + 1).collect::<Vec<u64>>(),
-                    "chunk={chunk} jobs={jobs}"
+                    "n={n} jobs={jobs}"
                 );
+                assert_eq!(calls.into_inner(), n, "n={n} jobs={jobs}");
             }
         }
     }
@@ -1115,17 +885,43 @@ mod tests {
     }
 
     #[test]
-    fn timed_wraps_same_results() {
-        let items: Vec<u64> = (0..20).collect();
-        let timed = run_items_timed(&items, 4, |&x| x * 3);
-        let vals: Vec<u64> = timed.iter().map(|(v, _)| *v).collect();
-        assert_eq!(vals, items.iter().map(|&x| x * 3).collect::<Vec<u64>>());
-    }
-
-    #[test]
     fn resolve_jobs_prefers_explicit() {
         assert_eq!(resolve_jobs(Some(3)), 3);
         assert!(resolve_jobs(None) >= 1);
+    }
+
+    /// [`run_pipeline_guarded`] under [`RunPolicy::none`] with no-op
+    /// progress: the plain pipelined fan-out.
+    fn pipeline<T, O>(
+        gens: &[u64],
+        sims: &[(usize, u64)],
+        jobs: usize,
+        chunk: usize,
+        gen_f: impl Fn(&u64) -> T + Sync,
+        sim_f: impl Fn(&T, &u64) -> O + Sync,
+    ) -> GuardedRun<T, O>
+    where
+        T: Send + Sync,
+        O: Send,
+    {
+        run_pipeline_guarded(
+            gens,
+            sims,
+            jobs,
+            chunk,
+            &RunPolicy::none(),
+            gen_f,
+            sim_f,
+            |_| {},
+        )
+    }
+
+    /// Values of one phase of a complete guarded run, in input order.
+    fn values<V: Copy>(slots: &[Option<(V, Duration)>]) -> Vec<V> {
+        slots
+            .iter()
+            .map(|s| s.as_ref().expect("item succeeded").0)
+            .collect()
     }
 
     /// The pipeline must return gen values and sim outputs in input
@@ -1135,79 +931,61 @@ mod tests {
         let gens: Vec<u64> = (0..5).collect();
         // Uneven per-gen sim counts, interleaved across gens.
         let sims: Vec<(usize, u64)> = (0..37).map(|i| (i % 5, i as u64)).collect();
-        let serial = run_pipeline(&gens, &sims, 1, 1, |&g| g * 10, |t, &s| t + s, |_| {});
-        let serial_sims: Vec<u64> = serial.sims.iter().map(|(v, _)| *v).collect();
-        let serial_gen: Vec<u64> = serial.gen.iter().map(|(v, _)| *v).collect();
-        assert_eq!(serial_gen, vec![0, 10, 20, 30, 40]);
-        for jobs in [2, 3, 8] {
+        let expect_gen = vec![0, 10, 20, 30, 40];
+        let expect_sims: Vec<u64> = sims.iter().map(|&(g, s)| g as u64 * 10 + s).collect();
+        for jobs in [1, 2, 3, 8] {
             for chunk in [1, 2, 5] {
-                let run = run_pipeline(
-                    &gens,
-                    &sims,
-                    jobs,
-                    chunk,
-                    |&g| g * 10,
-                    |t, &s| t + s,
-                    |_| {},
-                );
-                assert_eq!(
-                    run.sims.iter().map(|(v, _)| *v).collect::<Vec<u64>>(),
-                    serial_sims,
-                    "jobs={jobs} chunk={chunk}"
-                );
-                assert_eq!(
-                    run.gen.iter().map(|(v, _)| *v).collect::<Vec<u64>>(),
-                    serial_gen
-                );
+                let run = pipeline(&gens, &sims, jobs, chunk, |&g| g * 10, |t, &s| t + s);
+                assert!(run.is_complete());
+                assert_eq!(values(&run.gen), expect_gen, "jobs={jobs} chunk={chunk}");
+                assert_eq!(values(&run.sims), expect_sims, "jobs={jobs} chunk={chunk}");
             }
         }
     }
 
-    /// Every item reports exactly one PhaseSample with the right
-    /// phase, and gen samples arrive before any sim that consumes
-    /// that generator's value.
+    /// Every item reports exactly once — success, failure or skip —
+    /// inline and on the worker pool; a generator's report arrives
+    /// before any sim that consumes its value; and only successful
+    /// sims carry a value.
     #[test]
     fn pipeline_progress_reports_every_item() {
         let gens: Vec<u64> = (0..4).collect();
         let sims: Vec<(usize, u64)> = (0..16).map(|i| (i / 4, i as u64)).collect();
         for jobs in [1, 4] {
             let events = Mutex::new(Vec::new());
-            run_pipeline(
+            run_pipeline_guarded(
                 &gens,
                 &sims,
                 jobs,
                 2,
-                |&g| g,
+                &RunPolicy::none(),
+                |&g| {
+                    if g == 0 {
+                        panic!("gen 0 down");
+                    }
+                    g
+                },
                 |t, &s| t + s,
-                |sample| events.lock().unwrap().push(sample),
+                |ev: GuardedEvent<'_, u64>| {
+                    let event = (ev.report.phase, ev.report.index, ev.value.copied());
+                    events.lock().unwrap().push(event)
+                },
             );
             let events = events.into_inner().unwrap();
             assert_eq!(events.len(), gens.len() + sims.len());
-            let gen_seen: HashSet<usize> = events
-                .iter()
-                .filter(|e| e.phase == Phase::Gen)
-                .map(|e| e.index)
-                .collect();
-            let sim_seen: HashSet<usize> = events
-                .iter()
-                .filter(|e| e.phase == Phase::Sim)
-                .map(|e| e.index)
-                .collect();
-            assert_eq!(gen_seen.len(), gens.len());
-            assert_eq!(sim_seen.len(), sims.len());
-            // A sim of generator g only after g's gen sample.
+            let unique: HashSet<(Phase, usize)> = events.iter().map(|&(p, i, _)| (p, i)).collect();
+            assert_eq!(unique.len(), events.len(), "each item reports once");
             let mut ready: HashSet<usize> = HashSet::new();
-            for e in &events {
-                match e.phase {
+            for &(phase, index, value) in &events {
+                match phase {
                     Phase::Gen => {
-                        ready.insert(e.index);
+                        ready.insert(index);
                     }
                     Phase::Sim => {
-                        assert!(
-                            ready.contains(&sims[e.index].0),
-                            "sim {} ran before its generator",
-                            e.index
-                        );
+                        let g = sims[index].0;
+                        assert!(ready.contains(&g), "sim {index} ran before its generator");
+                        // Generator 0 failed, so its sims were skipped.
+                        assert_eq!(value, (g != 0).then_some(g as u64 + index as u64));
                     }
                 }
             }
@@ -1216,46 +994,87 @@ mod tests {
 
     #[test]
     fn pipeline_handles_empty_and_sim_free_inputs() {
-        let empty: PipelineRun<u64, u64> =
-            run_pipeline(&[], &[], 4, 2, |_: &u64| 0, |t, _: &u64| *t, |_| {});
-        assert!(empty.gen.is_empty() && empty.sims.is_empty());
-        // Generators with no sims still run.
-        let gens = vec![1u64, 2, 3];
-        let run = run_pipeline(&gens, &[], 4, 2, |&g| g * 2, |t, _: &u64| *t, |_| {});
-        assert_eq!(
-            run.gen.iter().map(|(v, _)| *v).collect::<Vec<u64>>(),
-            vec![2, 4, 6]
-        );
+        for jobs in [1, 4] {
+            let empty: GuardedRun<u64, u64> =
+                pipeline(&[], &[], jobs, 2, |_: &u64| 0, |t, _: &u64| *t);
+            assert!(empty.gen.is_empty() && empty.sims.is_empty());
+            assert!(empty.is_complete());
+            // Generators with no sims still run.
+            let run = pipeline(&[1, 2, 3], &[], jobs, 2, |&g| g * 2, |t, _: &u64| *t);
+            assert_eq!(values(&run.gen), vec![2, 4, 6]);
+        }
     }
 
     #[test]
     #[should_panic(expected = "references generator")]
     fn pipeline_rejects_dangling_sim_item() {
-        let _ = run_pipeline(
-            &[0u64],
-            &[(1usize, 0u64)],
-            2,
-            1,
-            |&g| g,
-            |t, &s| t + s,
-            |_| {},
-        );
+        let _ = pipeline(&[0], &[(1, 0)], 2, 1, |&g| g, |t, &s| t + s);
+    }
+
+    /// The exact event order of a one-worker run, which is the
+    /// checkpoint journal's append order at `--jobs 1`: generate g,
+    /// then g's sims in input order (skipped right after a failed
+    /// generator), then g+1. The steal-chunk size never reorders it.
+    #[test]
+    fn single_worker_event_order_is_pinned() {
+        let gens = [0u64, 1, 2];
+        // Uneven and interleaved: gen 0 owns sims 0, 2, 5; gen 1 owns
+        // 1, 4; gen 2 owns 3.
+        let items: Vec<(usize, u64)> = vec![(0, 0), (1, 1), (0, 2), (2, 3), (1, 4), (0, 5)];
+        for chunk in [1, 2, 5] {
+            let events = Mutex::new(Vec::new());
+            run_pipeline_guarded(
+                &gens,
+                &items,
+                1,
+                chunk,
+                &RunPolicy::none(),
+                |g| {
+                    if *g == 1 {
+                        panic!("gen 1 down");
+                    }
+                    *g
+                },
+                |g, s| g + s,
+                |ev: GuardedEvent<'_, u64>| {
+                    events.lock().unwrap().push((
+                        ev.report.phase,
+                        ev.report.index,
+                        ev.report.failed(),
+                        ev.value.copied(),
+                    ))
+                },
+            );
+            assert_eq!(
+                events.into_inner().unwrap(),
+                vec![
+                    (Phase::Gen, 0, false, None),
+                    (Phase::Sim, 0, false, Some(0)),
+                    (Phase::Sim, 2, false, Some(2)),
+                    (Phase::Sim, 5, false, Some(5)),
+                    (Phase::Gen, 1, true, None),
+                    (Phase::Sim, 1, true, None),
+                    (Phase::Sim, 4, true, None),
+                    (Phase::Gen, 2, false, None),
+                    (Phase::Sim, 3, false, Some(5)),
+                ],
+                "chunk={chunk}"
+            );
+        }
     }
 
     #[test]
     fn fanout_timing_summarizes() {
-        let timed: Vec<((), Duration)> = vec![
-            ((), Duration::from_secs(2)),
-            ((), Duration::from_secs(2)),
-            ((), Duration::from_secs(4)),
-        ];
-        let t = FanoutTiming::from_timed(&timed, 4, Duration::from_secs(2));
-        assert_eq!(t.items, 3);
-        assert_eq!(t.cumulative, Duration::from_secs(8));
-        assert_eq!(t.sim_wall, Duration::from_secs(8));
-        assert_eq!(t.gen_wall, Duration::ZERO);
+        let t = FanoutTiming {
+            items: 3,
+            jobs: 4,
+            cumulative: Duration::from_secs(8),
+            wall: Duration::from_secs(2),
+            gen_wall: Duration::ZERO,
+            sim_wall: Duration::from_secs(8),
+            serial_baseline: None,
+        };
         assert!((t.occupancy() - 4.0).abs() < 1e-9);
-        assert!((t.speedup() - 4.0).abs() < 1e-9);
         assert!((t.utilization() - 1.0).abs() < 1e-9);
         // No measured baseline: wall_speedup falls back to the
         // estimate (= occupancy here).
@@ -1283,7 +1102,7 @@ mod tests {
     /// below 1.0 on an oversubscribed host.
     #[test]
     fn wall_speedup_prefers_measured_baseline() {
-        let t = FanoutTiming {
+        let mut t = FanoutTiming {
             items: 4,
             jobs: 2,
             cumulative: Duration::from_secs(8),
@@ -1293,7 +1112,7 @@ mod tests {
             serial_baseline: None,
         };
         assert!((t.wall_speedup() - 2.0).abs() < 1e-9);
-        let t = t.with_serial_baseline(Duration::from_secs(3));
+        t.serial_baseline = Some(Duration::from_secs(3));
         assert!((t.wall_speedup() - 0.75).abs() < 1e-9);
         let j = t.to_json();
         assert_eq!(
@@ -1303,20 +1122,23 @@ mod tests {
         );
     }
 
-    /// from_pipeline splits phases and records a serial run as its
-    /// own baseline.
+    /// Guarded timing splits phases, counts only successful items,
+    /// and records a one-job run as its own baseline.
     #[test]
-    fn from_pipeline_phase_split_and_serial_baseline() {
-        let gen: Vec<((), Duration)> = vec![((), Duration::from_secs(1))];
-        let sims: Vec<((), Duration)> =
-            vec![((), Duration::from_secs(2)), ((), Duration::from_secs(3))];
-        let par = FanoutTiming::from_pipeline(&gen, &sims, 4, Duration::from_secs(2));
+    fn guarded_timing_phase_split_and_serial_baseline() {
+        let gen = vec![Some(((), Duration::from_secs(1)))];
+        let sims = vec![
+            Some(((), Duration::from_secs(2))),
+            None,
+            Some(((), Duration::from_secs(3))),
+        ];
+        let par = guarded_timing(&gen, &sims, 4, Duration::from_secs(2));
         assert_eq!(par.items, 2);
         assert_eq!(par.gen_wall, Duration::from_secs(1));
         assert_eq!(par.sim_wall, Duration::from_secs(5));
         assert_eq!(par.cumulative, Duration::from_secs(6));
         assert_eq!(par.serial_baseline, None);
-        let ser = FanoutTiming::from_pipeline(&gen, &sims, 1, Duration::from_secs(6));
+        let ser = guarded_timing(&gen, &sims, 1, Duration::from_secs(6));
         assert_eq!(ser.serial_baseline, Some(Duration::from_secs(6)));
         assert!((ser.wall_speedup() - 1.0).abs() < 1e-9);
     }
@@ -1411,16 +1233,7 @@ mod tests {
     fn guarded_retries_recover_injected_faults() {
         let gens = [100u64, 200, 300];
         let items: Vec<(usize, u64)> = (0..9).map(|i| (i % 3, i as u64)).collect();
-        let clean = run_pipeline_guarded(
-            &gens,
-            &items,
-            1,
-            1,
-            &RunPolicy::none(),
-            |g| *g,
-            |g, s| g * 10 + s,
-            |_| {},
-        );
+        let clean = pipeline(&gens, &items, 1, 1, |g| *g, |g, s| g * 10 + s);
         for jobs in [1, 4] {
             let policy = RunPolicy {
                 retries: 1,
@@ -1438,15 +1251,9 @@ mod tests {
                 |_| {},
             );
             assert!(run.is_complete());
-            let vals = |r: &GuardedRun<u64, u64>| -> Vec<u64> {
-                r.sims
-                    .iter()
-                    .map(|s| s.as_ref().expect("complete").0)
-                    .collect()
-            };
             assert_eq!(
-                vals(&run),
-                vals(&clean),
+                values(&run.sims),
+                values(&clean.sims),
                 "retried results are bit-identical"
             );
             for rep in run.gen_reports.iter().chain(run.sim_reports.iter()) {
@@ -1521,78 +1328,5 @@ mod tests {
             assert_eq!(rep.status(), Some(RunStatus::Timeout));
         }
         assert_eq!(run.sims[0].as_ref().map(|(o, _)| *o), Some(3));
-    }
-
-    /// The progress callback fires exactly once per item — success,
-    /// failure or skip — across both execution paths.
-    #[test]
-    fn guarded_progress_fires_once_per_item() {
-        for jobs in [1, 4] {
-            let gens = [0u64, 1];
-            let items: Vec<(usize, u64)> = vec![(0, 0), (0, 1), (1, 2), (1, 3)];
-            let seen = Mutex::new(Vec::new());
-            let values = Mutex::new(Vec::new());
-            run_pipeline_guarded(
-                &gens,
-                &items,
-                jobs,
-                1,
-                &RunPolicy::none(),
-                |g| {
-                    if *g == 0 {
-                        panic!("gen 0 down");
-                    }
-                    *g
-                },
-                |g, s| g + s,
-                |ev: GuardedEvent<'_, u64>| {
-                    seen.lock()
-                        .unwrap()
-                        .push((ev.report.phase, ev.report.index));
-                    if let Some(v) = ev.value {
-                        values.lock().unwrap().push(*v);
-                    }
-                },
-            );
-            let mut seen = seen.into_inner().unwrap();
-            seen.sort();
-            assert_eq!(
-                seen,
-                vec![
-                    (Phase::Gen, 0),
-                    (Phase::Gen, 1),
-                    (Phase::Sim, 0),
-                    (Phase::Sim, 1),
-                    (Phase::Sim, 2),
-                    (Phase::Sim, 3),
-                ]
-            );
-            let mut values = values.into_inner().unwrap();
-            values.sort();
-            assert_eq!(values, vec![3, 4], "values only for successful sims");
-        }
-    }
-
-    /// The legacy strict entry point still fails fast: a guarded
-    /// failure surfaces as a panic naming the item.
-    #[test]
-    #[should_panic(expected = "pipeline sim item 1 failed: kaput")]
-    fn run_pipeline_panics_on_item_failure() {
-        let gens = [1u64];
-        let items: Vec<(usize, u64)> = vec![(0, 0), (0, 1)];
-        run_pipeline(
-            &gens,
-            &items,
-            1,
-            1,
-            |g| *g,
-            |_, s| {
-                if *s == 1 {
-                    panic!("kaput");
-                }
-                *s
-            },
-            |_| {},
-        );
     }
 }

@@ -493,7 +493,6 @@ pub struct StudySpec<'a> {
     caches: Vec<CacheSpec>,
     sizes: Vec<u32>,
     jobs: Option<usize>,
-    chunk: Option<usize>,
     policy: RunPolicy,
     journal: Option<&'a Journal>,
     prefill: Vec<JournalEntry>,
@@ -511,7 +510,6 @@ impl<'a> StudySpec<'a> {
             caches: section5_caches(),
             sizes: CLUSTER_SIZES.to_vec(),
             jobs: None,
-            chunk: None,
             policy: RunPolicy::none(),
             journal: None,
             prefill: Vec::new(),
@@ -539,7 +537,6 @@ impl<'a> StudySpec<'a> {
             caches: section5_caches(),
             sizes: CLUSTER_SIZES.to_vec(),
             jobs: None,
-            chunk: None,
             policy: RunPolicy::none(),
             journal: None,
             prefill: Vec::new(),
@@ -569,13 +566,6 @@ impl<'a> StudySpec<'a> {
     /// `1` forces the exact serial path).
     pub fn jobs(mut self, jobs: usize) -> StudySpec<'a> {
         self.jobs = Some(jobs);
-        self
-    }
-
-    /// Steal-chunk size: how many simulations a worker claims per
-    /// atomic operation (default: one cluster-size row).
-    pub fn chunk(mut self, chunk: usize) -> StudySpec<'a> {
-        self.chunk = Some(chunk.max(1));
         self
     }
 
@@ -777,7 +767,6 @@ impl<'a> StudySpec<'a> {
             .map(|&i| (sub_index[&full[i].0], full[i].1))
             .collect();
 
-        let chunk = self.chunk.unwrap_or(self.sizes.len());
         let report =
             |ev: GuardedEvent<'_, (u32, RunStats, Option<SamplingStats>)>| match ev.report.phase {
                 Phase::Gen => {
@@ -847,7 +836,8 @@ impl<'a> StudySpec<'a> {
             &sub_inputs,
             &items,
             jobs,
-            chunk,
+            // Steal chunk: one cluster-size row per claim.
+            self.sizes.len(),
             &self.policy,
             |gi: &&GI| gen_f(gi),
             |t, &(cache, c)| match &self.sampling {
@@ -922,22 +912,6 @@ impl<'a> StudySpec<'a> {
             sweeps_per_trace: self.caches.len(),
         }
     }
-}
-
-/// Sweeps the paper's cluster sizes at one cache specification.
-#[deprecated(
-    since = "0.2.0",
-    note = "use StudySpec::for_trace(trace).caches([cache]).run_sweep()"
-)]
-pub fn sweep_clusters(trace: &Trace, cache: CacheSpec) -> ClusterSweep {
-    StudySpec::for_trace(trace).caches([cache]).run_sweep()
-}
-
-/// Runs the full Section 5 capacity experiment for one application
-/// trace.
-#[deprecated(since = "0.2.0", note = "use StudySpec::for_trace(trace).run_one()")]
-pub fn sweep_capacities(trace: &Trace) -> CapacitySweep {
-    StudySpec::for_trace(trace).run_one()
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@ use simcore::stats::{Breakdown, MissStats, RunStats};
 use simcore::witness::{CommitKind, WitnessEvent};
 
 /// A replay failure reachable from user input: a trace whose shape
-/// does not match the machine, or one that touches unallocated memory.
+/// does not match the machine, one that touches unallocated memory or
+/// whose synchronization cannot complete, or out-of-range options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EngineError {
@@ -25,6 +26,27 @@ pub enum EngineError {
         /// Processors in the machine configuration.
         machine: u32,
     },
+    /// An [`EngineOptions`] field the replay needs is zero.
+    InvalidOptions {
+        /// Name of the offending field.
+        field: &'static str,
+    },
+    /// A processor reached a barrier other than the next one in id
+    /// order.
+    BarrierOutOfOrder {
+        /// The processor.
+        proc: u32,
+        /// The barrier id every processor must reach next.
+        expected: u32,
+        /// The barrier id this processor reached.
+        found: u32,
+    },
+    /// The replay ran out of runnable processors with some still
+    /// blocked on a barrier or a lock.
+    Deadlock {
+        /// Processors that never finished.
+        stuck: usize,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -35,6 +57,20 @@ impl std::fmt::Display for EngineError {
                 f,
                 "trace has {trace} processors but machine expects {machine}"
             ),
+            EngineError::InvalidOptions { field } => {
+                write!(f, "engine option {field} must be at least 1")
+            }
+            EngineError::BarrierOutOfOrder {
+                proc,
+                expected,
+                found,
+            } => write!(
+                f,
+                "barrier out of order on proc {proc}: reached {found}, expected {expected}"
+            ),
+            EngineError::Deadlock { stuck } => {
+                write!(f, "deadlock: {stuck} processors never finished")
+            }
         }
     }
 }
@@ -85,6 +121,27 @@ impl Default for EngineOptions {
             load_latency: 1,
             dependent_load_period: 4,
             implicit_load_period: 18,
+        }
+    }
+}
+
+impl EngineOptions {
+    /// Rejects a zero latency, and a zero period the replay would
+    /// divide by (the implicit-load period only matters once loads
+    /// cost extra).
+    fn check(&self) -> Result<(), EngineError> {
+        let zero = if self.load_latency == 0 {
+            Some("load_latency")
+        } else if self.dependent_load_period == 0 {
+            Some("dependent_load_period")
+        } else if self.load_latency > 1 && self.implicit_load_period == 0 {
+            Some("implicit_load_period")
+        } else {
+            None
+        };
+        match zero {
+            Some(field) => Err(EngineError::InvalidOptions { field }),
+            None => Ok(()),
         }
     }
 }
@@ -314,7 +371,7 @@ fn replay(
             machine: machine.n_procs,
         });
     }
-    assert!(opts.load_latency >= 1 && opts.dependent_load_period >= 1);
+    opts.check()?;
 
     let mut mem = MemorySystem::try_new(machine, &trace.space)?;
     let mut procs: Vec<ProcState> = (0..n)
@@ -545,7 +602,13 @@ fn replay(
                     p.idx += 1;
                 }
                 Op::Barrier(id) => {
-                    assert_eq!(id, barrier_id, "barrier out of order on proc {pid}");
+                    if id != barrier_id {
+                        return Err(EngineError::BarrierOutOfOrder {
+                            proc: pid,
+                            expected: barrier_id,
+                            found: id,
+                        });
+                    }
                     let p = &mut procs[pidx];
                     p.bd.cpu += 1;
                     p.clock += 1;
@@ -618,7 +681,9 @@ fn replay(
         }
     }
 
-    assert_eq!(done, n, "deadlock: {} processors never finished", n - done);
+    if done != n {
+        return Err(EngineError::Deadlock { stuck: n - done });
+    }
     let exec_time = procs.iter().map(|p| p.clock).max().unwrap_or(0);
     // The terminal barrier aligns all clocks; fold any residue (possible
     // only for truncated traces without one) into sync wait. Warm
@@ -968,5 +1033,81 @@ mod tests {
                 assert!(bd.total() <= a.stats.exec_time);
             }
         }
+    }
+
+    #[test]
+    fn zero_options_are_typed_errors() {
+        // With extra load latency, a compute block divides by the
+        // implicit-load period.
+        let mut b = TraceBuilder::new(1);
+        b.compute(0, 40);
+        let t = b.finish();
+        let d = EngineOptions::default();
+        for (opts, field) in [
+            (
+                EngineOptions {
+                    load_latency: 0,
+                    ..d
+                },
+                "load_latency",
+            ),
+            (
+                EngineOptions {
+                    dependent_load_period: 0,
+                    ..d
+                },
+                "dependent_load_period",
+            ),
+            (
+                EngineOptions {
+                    load_latency: 2,
+                    implicit_load_period: 0,
+                    ..d
+                },
+                "implicit_load_period",
+            ),
+        ] {
+            assert_eq!(
+                try_run_with(&t, cfg(1, 1), opts),
+                Err(EngineError::InvalidOptions { field })
+            );
+        }
+        // The period is unused at single-cycle loads, so still accepted.
+        let plain = EngineOptions {
+            implicit_load_period: 0,
+            ..d
+        };
+        assert_eq!(try_run_with(&t, cfg(1, 1), plain), Ok(run(&t, cfg(1, 1))));
+    }
+
+    #[test]
+    fn swapped_barriers_are_a_typed_error() {
+        let mut b = TraceBuilder::new(2);
+        b.barrier_all();
+        b.barrier_all();
+        let mut t = b.finish();
+        t.per_proc[0].swap(0, 1);
+        let err = try_run_with(&t, cfg(2, 1), EngineOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::BarrierOutOfOrder {
+                proc: 0,
+                expected: 0,
+                found: 1
+            }
+        );
+        assert!(err.to_string().contains("barrier out of order"), "{err}");
+    }
+
+    #[test]
+    fn relocking_a_held_lock_is_a_deadlock_error() {
+        let mut b = TraceBuilder::new(1);
+        let l = b.new_lock();
+        b.lock(0, l);
+        b.lock(0, l);
+        let t = b.finish();
+        let err = try_run_with(&t, cfg(1, 1), EngineOptions::default()).unwrap_err();
+        assert_eq!(err, EngineError::Deadlock { stuck: 1 });
+        assert!(err.to_string().contains("deadlock"), "{err}");
     }
 }

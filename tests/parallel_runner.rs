@@ -4,9 +4,9 @@
 //! bit of any result. These tests pin that contract for every
 //! application in the small suite, comparing whole `RunStats` values
 //! (exact integer cycle counts and counters) between the serial path
-//! and the threaded path at several job counts and chunk sizes.
+//! and the threaded path at several job counts.
 
-use cluster_study::parallel::{resolve_jobs, run_items, run_items_chunked, run_items_timed};
+use cluster_study::parallel::{resolve_jobs, run_items};
 use cluster_study::study::{run_config, StudySpec, CLUSTER_SIZES};
 use coherence::config::CacheSpec;
 use simcore::ops::Trace;
@@ -48,20 +48,19 @@ fn parallel_sweep_matches_serial_for_every_small_app() {
 }
 
 /// The full capacity matrix (cache × cluster) must also be
-/// order-stable and bit-identical under fan-out, at any steal-chunk
-/// size.
+/// order-stable and bit-identical under fan-out, at any job count.
 #[test]
 fn parallel_capacity_sweep_matches_serial() {
     let (name, trace) = ("lu", small_trace("lu", 8));
     let serial = StudySpec::for_trace(&trace).jobs(1).run_one();
-    for chunk in [1, 3, 16] {
-        let parallel = StudySpec::for_trace(&trace).jobs(4).chunk(chunk).run_one();
+    for jobs in [2, 4, 16] {
+        let parallel = StudySpec::for_trace(&trace).jobs(jobs).run_one();
         assert_eq!(serial.sweeps.len(), parallel.sweeps.len());
         for (s, p) in serial.sweeps.iter().zip(&parallel.sweeps) {
             assert_eq!(s.cache, p.cache, "{name}: cache order changed");
             assert_eq!(
                 s.runs, p.runs,
-                "{name}: {:?} runs diverged at chunk={chunk}",
+                "{name}: {:?} runs diverged at jobs={jobs}",
                 s.cache
             );
         }
@@ -112,24 +111,14 @@ fn generated_study_matches_prebuilt_traces() {
     }
 }
 
-/// run_items itself: input order, every item exactly once, jobs and
-/// chunks beyond the item count are harmless.
+/// run_items itself: input order, every item exactly once, and job
+/// counts beyond the item count are harmless.
 #[test]
 fn run_items_orders_and_covers() {
     let items: Vec<u64> = (0..37).collect();
-    for jobs in [1, 3, 64] {
+    for jobs in [1, 2, 3, 5, 64] {
         let out = run_items(&items, jobs, |&x| x * x);
         assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
-    }
-    for chunk in [1, 5, 100] {
-        let out = run_items_chunked(&items, 3, chunk, |&x| x * x);
-        assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
-    }
-    let timed = run_items_timed(&items, 4, |&x| x + 1);
-    assert_eq!(timed.len(), items.len());
-    for (i, (v, wall)) in timed.iter().enumerate() {
-        assert_eq!(*v, items[i] + 1);
-        assert!(wall.as_nanos() > 0 || wall.is_zero());
     }
 }
 
