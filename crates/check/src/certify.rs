@@ -362,7 +362,8 @@ mod tests {
         let m = machine(4, 2, CacheSpec::PerProcBytes(4096));
         let plain = tango::run(&t, m);
         let mut n = 0u64;
-        let observed = tango::run_observed(&t, m, &mut |_| n += 1);
+        let observed =
+            tango::try_run_observed(&t, m, EngineOptions::default(), &mut |_| n += 1).unwrap();
         assert_eq!(plain, observed, "observation perturbed the replay");
         assert!(n > 0);
     }

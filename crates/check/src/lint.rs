@@ -3,9 +3,10 @@
 //!
 //! | rule         | forbids                                            |
 //! |--------------|----------------------------------------------------|
-//! | `no-panic`   | `.unwrap()` / `.expect(` / `panic!` in non-test    |
-//! |              | library code of `simcore`, `coherence`, `tango`,   |
-//! |              | and the `serve` server loop                        |
+//! | `no-panic`   | `.unwrap()` / `.expect(` / `panic!` /              |
+//! |              | `unreachable!(` in non-test library code of        |
+//! |              | `simcore`, `coherence`, `tango`, and the `serve`   |
+//! |              | server loop                                        |
 //! | `no-wallclock` | `Instant` / `SystemTime` in non-test code of the |
 //! |              | simulation crates (plus `splash`) — wall-clock     |
 //! |              | values must never flow into simulation results     |
@@ -410,7 +411,7 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
             if let Ok(text) = std::fs::read_to_string(&file) {
                 scan_tokens(
                     "no-panic",
-                    &[".unwrap()", ".expect(", "panic!"],
+                    &[".unwrap()", ".expect(", "panic!", "unreachable!("],
                     &file,
                     &text,
                     &mut findings,

@@ -11,3 +11,10 @@ pub fn expects(x: Option<u32>) -> u32 {
 pub fn panics() {
     panic!("fixture");
 }
+
+pub fn unreachables(tag: u8) -> u8 {
+    match tag {
+        0 => 0,
+        _ => unreachable!("fixture"),
+    }
+}

@@ -26,13 +26,14 @@ fn fixture_tree_trips_every_rule() {
     let panics = findings_for(&findings, "no-panic", "simcore/src/panics.rs");
     assert_eq!(
         panics.len(),
-        3,
-        "unwrap/expect/panic! each report: {panics:?}"
+        4,
+        "unwrap/expect/panic!/unreachable! each report: {panics:?}"
     );
     let details: Vec<&str> = panics.iter().map(|f| f.detail.as_str()).collect();
     assert!(details.iter().any(|d| d.contains(".unwrap()")));
     assert!(details.iter().any(|d| d.contains(".expect(")));
-    assert!(details.iter().any(|d| d.contains("panic!")));
+    assert!(details.iter().any(|d| d.contains("`panic!`")));
+    assert!(details.iter().any(|d| d.contains("`unreachable!(`")));
 
     // no-wallclock: Instant and SystemTime both report.
     let wall = findings_for(&findings, "no-wallclock", "wallclock.rs");

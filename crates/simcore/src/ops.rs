@@ -84,6 +84,8 @@ impl PackedOp {
             TAG_LOCK => Op::Lock(payload as u32),
             // cluster_check: allow(no-lossy-cast) — same as above.
             TAG_UNLOCK => Op::Unlock(payload as u32),
+            // cluster_check: allow(no-panic) — `pack` and
+            // `Trace::from_json` only produce tags 0–5.
             _ => unreachable!("invalid op tag {tag}"),
         }
     }

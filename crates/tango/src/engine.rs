@@ -47,6 +47,14 @@ pub enum EngineError {
         /// Processors that never finished.
         stuck: usize,
     },
+    /// A processor named a lock id beyond the trace's lock count, or
+    /// released a lock it does not hold.
+    BadLock {
+        /// The processor.
+        proc: u32,
+        /// The lock id it named.
+        lock: u32,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -71,6 +79,10 @@ impl std::fmt::Display for EngineError {
             EngineError::Deadlock { stuck } => {
                 write!(f, "deadlock: {stuck} processors never finished")
             }
+            EngineError::BadLock { proc, lock } => write!(
+                f,
+                "bad lock op on proc {proc}: lock {lock} is out of range or not held"
+            ),
         }
     }
 }
@@ -282,19 +294,6 @@ pub fn try_run_observed(
     replay(trace, machine, opts, None, Some(observer)).map(|r| r.stats)
 }
 
-/// Panicking convenience wrapper over [`try_run_observed`], same
-/// contract as [`run`].
-pub fn run_observed(
-    trace: &Trace,
-    machine: MachineConfig,
-    observer: &mut dyn FnMut(WitnessEvent),
-) -> RunStats {
-    try_run_observed(trace, machine, EngineOptions::default(), observer)
-        // cluster_check: allow(no-panic) — documented panicking
-        // convenience wrapper over the typed try_run_observed.
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// The witness classification of a memory outcome: `None` for a merge
 /// wait (the access retries; nothing committed yet).
 fn commit_of(o: &Outcome) -> Option<CommitKind> {
@@ -309,15 +308,17 @@ fn commit_of(o: &Outcome) -> Option<CommitKind> {
     }
 }
 
-/// Sampled replay under a [`SamplePlan`]: measured operations run
-/// exactly as in [`try_run_with`]; warm operations touch the memory
-/// system and advance the processor clock by their full-replay cost
-/// (computes by their cycle count, read misses by their miss latency,
-/// merge stalls waited out and retried) so that cross-processor
+/// Sampled replay under a [`SamplePlan`]. Measured and warm
+/// operations take the same replay step — warm operations touch the
+/// memory system and advance the processor clock by their full-replay
+/// cost (computes by their cycle count, read misses by their miss
+/// latency, merge stalls waited out and retried), so cross-processor
 /// interleaving and synchronization waits track the full replay
-/// exactly — but they are excluded from every statistics counter and
-/// breakdown component, with their functional hit/miss outcomes
-/// reported separately in [`SampledRun::warm_mem`]. Skipped
+/// exactly. The class only picks the ledger: measured operations are
+/// charged to [`SampledRun::stats`], warm ones to
+/// [`SampledRun::warm_mem`] and [`SampledRun::warm_bd`]. The
+/// dependent-load refinement of [`EngineOptions::load_latency`] is a
+/// measured-only model and never applies to warm operations. Skipped
 /// operations are not replayed: each skipped range collapses to zero
 /// cycles, which is where sampled timing diverges from the full
 /// replay. Synchronization operations always execute in full,
@@ -331,30 +332,6 @@ pub fn try_run_sampled(
     plan: &SamplePlan,
 ) -> Result<SampledRun, EngineError> {
     replay(trace, machine, opts, Some(plan), None)
-}
-
-/// Field-wise counter difference `after - before`, for isolating what
-/// one warm access contributed before the counters are rolled back.
-fn miss_delta(after: &MissStats, before: &MissStats) -> MissStats {
-    let mut by_latency = [0u64; 4];
-    for (i, slot) in by_latency.iter_mut().enumerate() {
-        *slot = after.by_latency[i] - before.by_latency[i];
-    }
-    MissStats {
-        read_hits: after.read_hits - before.read_hits,
-        write_hits: after.write_hits - before.write_hits,
-        read_misses: after.read_misses - before.read_misses,
-        write_misses: after.write_misses - before.write_misses,
-        upgrade_misses: after.upgrade_misses - before.upgrade_misses,
-        merge_stalls: after.merge_stalls - before.merge_stalls,
-        by_latency,
-        invalidations: after.invalidations - before.invalidations,
-        evictions: after.evictions - before.evictions,
-        writebacks: after.writebacks - before.writebacks,
-        local_satisfied: after.local_satisfied - before.local_satisfied,
-        bus_transfers: after.bus_transfers - before.bus_transfers,
-        bus_invalidations: after.bus_invalidations - before.bus_invalidations,
-    }
 }
 
 fn replay(
@@ -420,28 +397,30 @@ fn replay(
             // Sampling classification applies only to compute and
             // memory operations; synchronization always executes so
             // barrier ordering and FIFO lock grants are preserved.
-            let class = match plan {
-                Some(pl) => pl.class(pidx, procs[pidx].idx),
-                None => OpClass::Measure,
+            let class = match (plan, op) {
+                (Some(pl), Op::Compute(_) | Op::Read(_) | Op::Write(_)) => {
+                    pl.class(pidx, procs[pidx].idx)
+                }
+                _ => OpClass::Measure,
             };
+            if class == OpClass::Skip {
+                procs[pidx].idx += 1;
+                continue 'steps;
+            }
+            // Warm operations pay their full-replay cost on the clock,
+            // so interleaving and the sync skeleton track the full
+            // replay exactly, but charge it to the warm ledger.
+            let measure = class == OpClass::Measure;
             match op {
                 Op::Compute(c) => {
-                    if class != OpClass::Measure {
-                        if class == OpClass::Warm {
-                            // Warm computes keep this processor's clock
-                            // aligned with the full replay (no
-                            // dependent-load modelling: that is a
-                            // measured-only refinement).
-                            let p = &mut procs[pidx];
-                            p.clock += c;
-                            p.warm_bd.cpu += c;
-                        }
-                        procs[pidx].idx += 1;
+                    let p = &mut procs[pidx];
+                    p.clock += c;
+                    p.idx += 1;
+                    if !measure {
+                        p.warm_bd.cpu += c;
                         continue 'steps;
                     }
-                    let p = &mut procs[pidx];
                     p.bd.cpu += c;
-                    p.clock += c;
                     if extra_load > 0 {
                         // Dependent implicit loads inside the coalesced
                         // dense loop feel the longer latency.
@@ -449,145 +428,24 @@ fn replay(
                         p.bd.load += stall;
                         p.clock += stall;
                     }
-                    p.idx += 1;
                 }
-                Op::Read(a) => {
+                Op::Read(a) | Op::Write(a) => {
                     let now = procs[pidx].clock;
-                    match class {
-                        OpClass::Skip => {
-                            procs[pidx].idx += 1;
-                            continue 'steps;
-                        }
-                        OpClass::Warm => {
-                            // Touch the memory system for cache state
-                            // and charge the full-replay cost to the
-                            // clock — misses stall, merges wait and
-                            // retry — so the interleaving and sync
-                            // skeleton track the full replay exactly.
-                            // The counters are restored: warmup is
-                            // never measured, and its functional
-                            // outcomes accumulate separately.
-                            let saved = mem.stats;
-                            let outcome = mem.try_read(pid, a, now)?;
-                            warm_mem += miss_delta(&mem.stats, &saved);
-                            mem.stats = saved;
-                            if let (Some(obs), Some(k)) = (observer.as_mut(), commit_of(&outcome)) {
-                                obs(WitnessEvent {
-                                    time: now,
-                                    proc: pid,
-                                    addr: a,
-                                    commit: k,
-                                });
-                            }
-                            let p = &mut procs[pidx];
-                            match outcome {
-                                Outcome::MergeWait { ready_at } => {
-                                    debug_assert!(ready_at > p.clock);
-                                    p.warm_bd.merge += ready_at - p.clock;
-                                    p.clock = ready_at;
-                                    // idx NOT advanced: retry.
-                                }
-                                Outcome::ReadMiss { stall, .. } | Outcome::ReadBus { stall } => {
-                                    p.clock += 1 + stall;
-                                    p.warm_bd.cpu += 1;
-                                    p.warm_bd.load += stall;
-                                    p.idx += 1;
-                                }
-                                _ => {
-                                    p.clock += 1;
-                                    p.warm_bd.cpu += 1;
-                                    p.idx += 1;
-                                }
-                            }
-                            continue 'steps;
-                        }
-                        OpClass::Measure => {}
+                    let is_read = matches!(op, Op::Read(_));
+                    // Warm functional outcomes land in `warm_mem`: the
+                    // swap makes it the counter set this access bumps.
+                    if !measure {
+                        std::mem::swap(&mut mem.stats, &mut warm_mem);
                     }
-                    let outcome = mem.try_read(pid, a, now)?;
-                    if let (Some(obs), Some(k)) = (observer.as_mut(), commit_of(&outcome)) {
-                        obs(WitnessEvent {
-                            time: now,
-                            proc: pid,
-                            addr: a,
-                            commit: k,
-                        });
+                    let r = if is_read {
+                        mem.try_read(pid, a, now)
+                    } else {
+                        mem.try_write(pid, a, now)
+                    };
+                    if !measure {
+                        std::mem::swap(&mut mem.stats, &mut warm_mem);
                     }
-                    match outcome {
-                        Outcome::ReadHit => {
-                            let p = &mut procs[pidx];
-                            p.bd.cpu += 1;
-                            p.clock += 1;
-                            p.reads_issued += 1;
-                            if extra_load > 0
-                                && p.reads_issued.is_multiple_of(opts.dependent_load_period)
-                            {
-                                p.bd.load += extra_load;
-                                p.clock += extra_load;
-                            }
-                            p.idx += 1;
-                        }
-                        Outcome::ReadMiss { stall, .. } | Outcome::ReadBus { stall } => {
-                            let p = &mut procs[pidx];
-                            p.bd.cpu += 1;
-                            p.bd.load += stall;
-                            p.clock += 1 + stall;
-                            p.reads_issued += 1;
-                            if extra_load > 0
-                                && p.reads_issued.is_multiple_of(opts.dependent_load_period)
-                            {
-                                p.bd.load += extra_load;
-                                p.clock += extra_load;
-                            }
-                            p.idx += 1;
-                        }
-                        Outcome::MergeWait { ready_at } => {
-                            // Wait out the outstanding fill, then retry
-                            // the same op (the line may have been
-                            // invalidated meanwhile).
-                            let p = &mut procs[pidx];
-                            debug_assert!(ready_at > p.clock);
-                            p.bd.merge += ready_at - p.clock;
-                            p.clock = ready_at;
-                            // idx NOT advanced: retry.
-                        }
-                        o @ (Outcome::WriteHit | Outcome::WriteMiss | Outcome::Upgrade) => {
-                            unreachable!("read returned write outcome {o:?}")
-                        }
-                    }
-                }
-                Op::Write(a) => {
-                    let now = procs[pidx].clock;
-                    match class {
-                        OpClass::Skip => {
-                            procs[pidx].idx += 1;
-                            continue 'steps;
-                        }
-                        OpClass::Warm => {
-                            // Writes cost one cycle measured or warm
-                            // (the paper never stalls the processor on
-                            // writes), so warm writes stay clock-exact.
-                            let saved = mem.stats;
-                            let r = mem.try_write(pid, a, now);
-                            warm_mem += miss_delta(&mem.stats, &saved);
-                            mem.stats = saved;
-                            let outcome = r?;
-                            if let (Some(obs), Some(k)) = (observer.as_mut(), commit_of(&outcome)) {
-                                obs(WitnessEvent {
-                                    time: now,
-                                    proc: pid,
-                                    addr: a,
-                                    commit: k,
-                                });
-                            }
-                            let p = &mut procs[pidx];
-                            p.clock += 1;
-                            p.warm_bd.cpu += 1;
-                            p.idx += 1;
-                            continue 'steps;
-                        }
-                        OpClass::Measure => {}
-                    }
-                    let outcome = mem.try_write(pid, a, now)?;
+                    let outcome = r?;
                     if let (Some(obs), Some(k)) = (observer.as_mut(), commit_of(&outcome)) {
                         obs(WitnessEvent {
                             time: now,
@@ -597,9 +455,39 @@ fn replay(
                         });
                     }
                     let p = &mut procs[pidx];
-                    p.bd.cpu += 1;
-                    p.clock += 1;
+                    let bd = if measure { &mut p.bd } else { &mut p.warm_bd };
+                    match outcome {
+                        Outcome::MergeWait { ready_at } => {
+                            // Wait out the outstanding fill, then retry
+                            // the same op (the line may have been
+                            // invalidated meanwhile): idx not advanced.
+                            debug_assert!(ready_at > p.clock);
+                            bd.merge += ready_at - p.clock;
+                            p.clock = ready_at;
+                            continue 'steps;
+                        }
+                        Outcome::ReadMiss { stall, .. } | Outcome::ReadBus { stall } => {
+                            bd.cpu += 1;
+                            bd.load += stall;
+                            p.clock += 1 + stall;
+                        }
+                        // Hits, and writes: the paper never stalls the
+                        // processor on a write.
+                        _ => {
+                            bd.cpu += 1;
+                            p.clock += 1;
+                        }
+                    }
                     p.idx += 1;
+                    if measure && is_read {
+                        p.reads_issued += 1;
+                        if extra_load > 0
+                            && p.reads_issued.is_multiple_of(opts.dependent_load_period)
+                        {
+                            p.bd.load += extra_load;
+                            p.clock += extra_load;
+                        }
+                    }
                 }
                 Op::Barrier(id) => {
                     if id != barrier_id {
@@ -636,7 +524,10 @@ fn replay(
                     }
                 }
                 Op::Lock(id) => {
-                    let lock = &mut locks[usize_from(id)];
+                    let lock = locks.get_mut(usize_from(id)).ok_or(EngineError::BadLock {
+                        proc: pid,
+                        lock: id,
+                    })?;
                     if lock.holder.is_none() {
                         lock.holder = Some(pid);
                         let p = &mut procs[pidx];
@@ -653,15 +544,18 @@ fn replay(
                     }
                 }
                 Op::Unlock(id) => {
-                    {
-                        let p = &mut procs[pidx];
-                        p.bd.cpu += 1;
-                        p.clock += 1;
-                        p.idx += 1;
-                    }
-                    let release = procs[pidx].clock;
-                    let lock = &mut locks[usize_from(id)];
-                    debug_assert_eq!(lock.holder, Some(pid), "unlock by non-holder");
+                    let lock = locks
+                        .get_mut(usize_from(id))
+                        .filter(|l| l.holder == Some(pid))
+                        .ok_or(EngineError::BadLock {
+                            proc: pid,
+                            lock: id,
+                        })?;
+                    let p = &mut procs[pidx];
+                    p.bd.cpu += 1;
+                    p.clock += 1;
+                    p.idx += 1;
+                    let release = p.clock;
                     match lock.queue.pop_front() {
                         Some(w) => {
                             lock.holder = Some(w);
@@ -715,7 +609,7 @@ fn replay(
 mod tests {
     use super::*;
     use coherence::config::CacheSpec;
-    use simcore::ops::TraceBuilder;
+    use simcore::ops::{PackedOp, TraceBuilder};
 
     fn cfg(n_procs: u32, per_cluster: u32) -> MachineConfig {
         MachineConfig {
@@ -1109,5 +1003,33 @@ mod tests {
         let err = try_run_with(&t, cfg(1, 1), EngineOptions::default()).unwrap_err();
         assert_eq!(err, EngineError::Deadlock { stuck: 1 });
         assert!(err.to_string().contains("deadlock"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_lock_is_a_typed_error() {
+        let mut b = TraceBuilder::new(1);
+        b.compute(0, 1);
+        let mut t = b.finish();
+        // No lock was allocated, so id 7 is out of range (n_locks = 0).
+        t.per_proc[0].insert(0, PackedOp::pack(Op::Lock(7)));
+        let err = try_run_with(&t, cfg(1, 1), EngineOptions::default()).unwrap_err();
+        assert_eq!(err, EngineError::BadLock { proc: 0, lock: 7 });
+        assert!(err.to_string().contains("lock 7"), "{err}");
+        t.per_proc[0][0] = PackedOp::pack(Op::Unlock(7));
+        let err = try_run_with(&t, cfg(1, 1), EngineOptions::default()).unwrap_err();
+        assert_eq!(err, EngineError::BadLock { proc: 0, lock: 7 });
+    }
+
+    #[test]
+    fn unlocking_a_lock_not_held_is_a_typed_error() {
+        let mut b = TraceBuilder::new(2);
+        let l = b.new_lock();
+        b.lock(0, l);
+        b.unlock(0, l);
+        b.compute(1, 10);
+        b.unlock(1, l);
+        let t = b.finish();
+        let err = try_run_with(&t, cfg(2, 1), EngineOptions::default()).unwrap_err();
+        assert_eq!(err, EngineError::BadLock { proc: 1, lock: l });
     }
 }

@@ -18,6 +18,6 @@
 pub mod engine;
 
 pub use engine::{
-    run, run_instrumented, run_observed, run_sampled, run_with, try_run_observed, try_run_sampled,
-    try_run_with, EngineError, EngineOptions, SampledRun,
+    run, run_instrumented, run_sampled, run_with, try_run_observed, try_run_sampled, try_run_with,
+    EngineError, EngineOptions, SampledRun,
 };

@@ -8,7 +8,7 @@
 
 use coherence::config::CacheSpec;
 use coherence::{LatencyTable, MachineConfig};
-use simcore::ops::{Trace, TraceBuilder};
+use simcore::ops::{Op, Trace, TraceBuilder};
 use simcore::propcheck::{self, halves, Gen};
 use simcore::{prop_ensure, prop_ensure_eq};
 
@@ -262,5 +262,81 @@ fn miss_counts_are_cluster_monotone_for_read_only() {
             }
             Ok(())
         },
+    );
+}
+
+#[test]
+fn sampled_ledgers_conserve_the_full_replay() {
+    use simcore::sample::{SampleMode, SamplePlan, SampleSpec};
+    use simcore::stats::Breakdown;
+    use std::cell::Cell;
+    // Short intervals with a warmup window longer than any gap between
+    // samples: the plan skips nothing, so every op is measured or warm
+    // and the two ledgers must add up to the full replay exactly, with
+    // the warm ledger holding exactly what the warm ops cost.
+    let non_vacuous = Cell::new(0u32);
+    propcheck::check_cases(
+        CASES,
+        "sampled_ledgers_conserve_the_full_replay",
+        |g| (arb_scripts(g, 4), g.pick(&[1u32, 2, 4])),
+        |(s, pc)| shrink_scripts(s).into_iter().map(|c| (c, *pc)).collect(),
+        |(scripts, per_cluster)| {
+            let trace = build_trace(scripts);
+            let m = machine(4, *per_cluster, CacheSpec::PerProcBytes(1024));
+            let full = tango::run(&trace, m);
+            let full_bd = full
+                .per_proc
+                .iter()
+                .fold(Breakdown::default(), |acc, &b| acc + b);
+            for mode in SampleMode::ALL {
+                let spec = SampleSpec {
+                    interval_ops: 4,
+                    warmup_ops: 64,
+                    ..SampleSpec::new(mode)
+                };
+                let plan = SamplePlan::for_trace(&trace, &spec);
+                let ps = plan.stats();
+                prop_ensure_eq!(ps.ops_measured + ps.ops_warm, ps.ops_total);
+                if ps.ops_warm > 0 {
+                    non_vacuous.set(non_vacuous.get() + 1);
+                }
+                // What the warm ops alone must cost: one cpu cycle per
+                // access, c per compute, and one write counter each.
+                let (mut warm_cpu, mut warm_writes) = (0u64, 0u64);
+                for (pid, ops) in trace.per_proc.iter().enumerate() {
+                    for &(lo, hi) in plan.warm_ranges(pid) {
+                        for op in &ops[lo..hi] {
+                            match op.unpack() {
+                                Op::Compute(c) => warm_cpu += c,
+                                Op::Read(_) => warm_cpu += 1,
+                                Op::Write(_) => {
+                                    warm_cpu += 1;
+                                    warm_writes += 1;
+                                }
+                                _ => {}
+                            }
+                        }
+                    }
+                }
+                let s = tango::run_sampled(&trace, m, &plan);
+                prop_ensure_eq!(s.warm_bd.cpu, warm_cpu);
+                let w = s.warm_mem;
+                prop_ensure_eq!(
+                    w.write_hits + w.write_misses + w.upgrade_misses,
+                    warm_writes
+                );
+                let mut mem = s.stats.mem;
+                mem += s.warm_mem;
+                prop_ensure_eq!(mem, full.mem);
+                prop_ensure_eq!(s.stats.exec_time, full.exec_time);
+                let bd = s.stats.per_proc.iter().fold(s.warm_bd, |acc, &b| acc + b);
+                prop_ensure_eq!(bd, full_bd);
+            }
+            Ok(())
+        },
+    );
+    assert!(
+        non_vacuous.get() > 0,
+        "no generated case warmed any operation"
     );
 }
