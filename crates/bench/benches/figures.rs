@@ -1,8 +1,9 @@
 //! Benches that exercise each paper figure/table pipeline at reduced
 //! problem size — one bench per table/figure, so `cargo bench` covers
 //! the full evaluation surface quickly. The paper-size regenerators
-//! live in `src/bin/` (fig2_infinite, fig3_ocean_small, fig4..fig8,
-//! table3..table7); run those for the actual reproduction numbers.
+//! live in `src/figures.rs` and run as `paper_run --figure <id>`
+//! (fig2_infinite, fig3_ocean_small, fig4..fig8, table3..table7);
+//! run those for the actual reproduction numbers.
 //!
 //! Built on the in-tree `cluster_bench::timer` (the workspace is
 //! hermetic; Criterion is a registry dependency and was dropped).

@@ -23,16 +23,23 @@
 //! is the CI crash-injection lever). `STUDY_FAULT_RATE` /
 //! `STUDY_FAULT_SEED` / `STUDY_FAULT_DEPTH` inject deterministic
 //! faults to exercise all of the above.
+//!
+//! `--figure ID` runs one of the paper's figure or table regenerators
+//! (`cluster_bench::figures`: `fig2_infinite` … `fig8_volrend`,
+//! `table3_wsets` … `table7_inf`, the ablations and diagnostics)
+//! instead of the matrix; `--help` lists every id.
 
-use cluster_bench::{
-    cache_prefill, cache_sink, open_cache, open_journal, serve_prefill, Cli, Reporter,
-};
+use cluster_bench::{cache_prefill, cache_sink, open_cache, open_journal, Cli, Reporter};
 use cluster_study::apps::FIG2_APPS;
 use cluster_study::checkpoint::JournalEntry;
 use cluster_study::study::{CellOutcome, StudyEvent, StudySpec, CLUSTER_SIZES};
 
 fn main() {
     let cli = Cli::parse();
+    if let Some(id) = cli.figure {
+        cluster_bench::figures::run(id, &cli);
+        return;
+    }
     let apps: Vec<&str> = FIG2_APPS.iter().copied().filter(|a| cli.wants(a)).collect();
     if cli.validate_sampling {
         // Sampled-vs-full validation harness instead of the study:
@@ -62,7 +69,7 @@ fn main() {
     // items log as they finish, so the gen/sim interleave is visible.
     let journal = open_journal("paper_run", &cli);
     let cache = open_cache(&cli);
-    let mut from_cache = cache
+    let from_cache = cache
         .as_ref()
         .map(|store| {
             cache_prefill(
@@ -74,19 +81,6 @@ fn main() {
             )
         })
         .unwrap_or_default();
-    // A remote result server outranks local work: stream the matrix
-    // over the v2 cursor protocol and treat every streamed cell as a
-    // cache hit. A dead or failing server is fatal, like a corrupt
-    // `--cache` store: silently re-simulating would defeat the flag.
-    if let Some(addr) = &cli.serve {
-        let streamed =
-            serve_prefill(addr, &apps, cli.size_label(), cli.procs).unwrap_or_else(|e| {
-                eprintln!("error: serve {addr}: {e}");
-                std::process::exit(2);
-            });
-        eprintln!("[serve: streamed {} cells from {addr}]", streamed.len());
-        from_cache.extend(streamed);
-    }
     let sink = cache
         .as_ref()
         .map(|store| cache_sink(store, cli.size_label(), cli.procs, sampling_label.clone()));

@@ -1,8 +1,9 @@
-//! Shared helpers for the benchmark-harness binaries (one per paper
-//! table/figure): CLI parsing, the capacity-figure driver, the
-//! manifest [`Reporter`], and a zero-dependency micro-bench timer
-//! (`cargo bench` previously used Criterion, which cannot be fetched
-//! in the offline hermetic build).
+//! The benchmark harness behind `paper_run` and `serve_soak`: CLI
+//! parsing, the paper's figure and table regenerators ([`figures`],
+//! selected with `paper_run --figure ID`), the manifest [`Reporter`],
+//! and a zero-dependency micro-bench timer (`cargo bench` previously
+//! used Criterion, which cannot be fetched in the offline hermetic
+//! build).
 
 use std::path::PathBuf;
 
@@ -17,6 +18,7 @@ use simcore::stats::RunStats;
 use splash::ProblemSize;
 use std::time::Duration;
 
+pub mod figures;
 pub mod sampling;
 pub mod timer;
 
@@ -42,7 +44,8 @@ impl Format {
     }
 }
 
-/// Options common to every regenerator binary.
+/// Options shared by `paper_run` (matrix, `--figure` and
+/// `--validate-sampling` modes) and `serve_soak`.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Problem size: `--paper` (default) or `--small`.
@@ -78,11 +81,9 @@ pub struct Cli {
     /// fresh cells into) a `cluster_serve` content-addressed result
     /// store in this directory.
     pub cache: Option<PathBuf>,
-    /// `--serve ADDR`: stream already-simulated cells from a running
-    /// `cluster_serve` TCP server over the v2 cursor protocol
-    /// (paper_run). Streamed cells prefill the study like `--cache`
-    /// hits; the server simulates whatever its store is missing.
-    pub serve: Option<String>,
+    /// `--figure ID`: run one paper figure/table regenerator from
+    /// [`figures`] instead of the study matrix (paper_run).
+    pub figure: Option<&'static str>,
     /// `--sample MODE`: replay only sampled intervals
     /// (`periodic|reservoir|phase`) instead of the full trace.
     pub sample: Option<SampleMode>,
@@ -161,7 +162,7 @@ impl Cli {
         let mut checkpoint = None;
         let mut resume = false;
         let mut cache = None;
-        let mut serve = None;
+        let mut figure = None;
         let mut sample = None;
         let mut sample_rate = None;
         let mut warmup_ops = None;
@@ -255,11 +256,9 @@ impl Cli {
                             .ok_or_else(|| fail("--cache needs a directory"))?,
                     ));
                 }
-                "--serve" => {
-                    serve = Some(
-                        args.next()
-                            .ok_or_else(|| fail("--serve needs an address (host:port)"))?,
-                    );
+                "--figure" => {
+                    let id = args.next().ok_or_else(|| fail("--figure needs an id"))?;
+                    figure = Some(figures::lookup(&id).map_err(|e| fail(&e))?);
                 }
                 "--help" | "-h" => {
                     return Err(CliError {
@@ -273,11 +272,19 @@ impl Cli {
         if resume && checkpoint.is_none() {
             return Err(fail("--resume needs --checkpoint"));
         }
-        if serve.is_some() && sample.is_some() {
-            // Sampled cells live under sampling-qualified store keys;
-            // the wire spec has no sampling field, so a server can
-            // only ever answer full-trace cells.
-            return Err(fail("--serve cannot be combined with --sample"));
+        if figure.is_some() {
+            // No regenerator reads these: accepting them would print
+            // numbers that look cached or sampled but are not.
+            let unread = [
+                ("--cache", cache.is_some()),
+                ("--sample", sample.is_some()),
+                ("--sample-rate", sample_rate.is_some()),
+                ("--warmup-ops", warmup_ops.is_some()),
+                ("--validate-sampling", validate_sampling),
+            ];
+            if let Some((flag, _)) = unread.iter().find(|(_, set)| *set) {
+                return Err(fail(&format!("--figure cannot be combined with {flag}")));
+            }
         }
         if sample.is_none() && !validate_sampling {
             if sample_rate.is_some() {
@@ -300,7 +307,7 @@ impl Cli {
             checkpoint,
             resume,
             cache,
-            serve,
+            figure,
             sample,
             sample_rate,
             warmup_ops,
@@ -364,13 +371,19 @@ fn tool_name(argv0: &str) -> String {
 
 /// Usage text naming the actual tool.
 fn usage_text(tool: &str) -> String {
+    let ids: Vec<&str> = figures::ids().collect();
+    let ids = ids
+        .chunks(4)
+        .map(|row| format!("                 {}", row.join(" ")))
+        .collect::<Vec<_>>()
+        .join("\n");
     format!(
         "usage: {tool} [--paper|--small] [--procs N] [--apps a,b,c] [--jobs N]\n\
          \u{20}            [--format text|json|csv] [--out PATH] [--emit-manifest]\n\
          \u{20}            [--retries N] [--timeout-secs X]\n\
-         \u{20}            [--checkpoint PATH] [--resume] [--cache DIR] [--serve ADDR]\n\
+         \u{20}            [--checkpoint PATH] [--resume] [--cache DIR]\n\
          \u{20}            [--sample periodic|reservoir|phase] [--sample-rate R]\n\
-         \u{20}            [--warmup-ops K] [--validate-sampling]\n\
+         \u{20}            [--warmup-ops K] [--validate-sampling] [--figure ID]\n\
          \n\
          --paper          paper problem sizes (default)\n\
          --small          reduced sizes for quick runs\n\
@@ -380,7 +393,8 @@ fn usage_text(tool: &str) -> String {
          \u{20}                cores; 1 = serial)\n\
          --format         also write a run manifest artifact in this format\n\
          \u{20}                (text = none; stdout tables are always printed)\n\
-         --out            artifact path (default results/{tool}[_small].<ext>)\n\
+         --out            artifact path (default results/{tool}[_small].<ext>,\n\
+         \u{20}                or results/<ID>[_small].<ext> with --figure)\n\
          --emit-manifest  shorthand for --format json at the default path\n\
          --retries        re-run a panicking work item up to N times\n\
          \u{20}                (default 0; deterministic per-item backoff-free)\n\
@@ -392,8 +406,6 @@ fn usage_text(tool: &str) -> String {
          \u{20}                instead of re-executing them\n\
          --cache          serve already-simulated cells from (and record new\n\
          \u{20}                cells into) a cluster_serve result store (paper_run)\n\
-         --serve          stream matrix cells from a running cluster_serve TCP\n\
-         \u{20}                server via the v2 cursor protocol (paper_run)\n\
          --sample         replay only sampled intervals with the given\n\
          \u{20}                strategy instead of the full trace\n\
          --sample-rate    fraction of intervals measured, in (0, 1]\n\
@@ -402,7 +414,11 @@ fn usage_text(tool: &str) -> String {
          \u{20}                region, excluded from stats (needs --sample)\n\
          --validate-sampling\n\
          \u{20}                run sampled-vs-full over every strategy and\n\
-         \u{20}                record max relative errors (paper_run)"
+         \u{20}                record max relative errors (paper_run)\n\
+         --figure         run one paper figure/table instead of the matrix\n\
+         \u{20}                (paper_run; not with --cache or the sampling\n\
+         \u{20}                flags), ID one of:\n\
+         {ids}"
     )
 }
 
@@ -492,77 +508,6 @@ pub fn cache_prefill(
     out
 }
 
-/// Streams `apps` × the Section 5 study matrix from a running
-/// `cluster_serve` TCP server over the v2 protocol: one negotiated
-/// session, one cursor per app, each finished cell arriving as its
-/// own response line (with the journal payload the client needs to
-/// rebuild a [`JournalEntry`]). The entries are study prefill, exactly
-/// like [`cache_prefill`] — the study skips those cells. The server
-/// simulates whatever its store is missing, so a cold server is slow
-/// but still correct.
-pub fn serve_prefill(
-    addr: &str,
-    apps: &[&str],
-    size: &str,
-    procs: usize,
-) -> Result<Vec<JournalEntry>, String> {
-    use cluster_serve::ServeClient;
-    use simcore::Json;
-
-    let mut client =
-        ServeClient::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    client
-        .hello_v2()
-        .map_err(|e| format!("negotiating v2 with {addr}: {e}"))?;
-    let caches: Vec<Json> = cluster_study::study::section5_caches()
-        .iter()
-        .map(|c| Json::from(c.label()))
-        .collect();
-    let clusters: Vec<Json> = cluster_study::study::CLUSTER_SIZES
-        .iter()
-        .map(|&c| Json::from(u64::from(c)))
-        .collect();
-    let mut out = Vec::new();
-    for &app in apps {
-        let spec = Json::obj()
-            .with("app", app)
-            .with("size", size)
-            .with("procs", procs as u64)
-            .with("caches", caches.clone())
-            .with("clusters", clusters.clone());
-        let mut bad = None;
-        let summary = client
-            .cursor(spec, |seq, cell| {
-                match cell
-                    .get("journal")
-                    .ok_or_else(|| "cell without journal payload".to_string())
-                    .and_then(JournalEntry::from_json)
-                {
-                    Ok(entry) => {
-                        eprintln!(
-                            "[serve {app} {} {}p: cell {seq}]",
-                            entry.cache, entry.cluster
-                        );
-                        out.push(entry);
-                    }
-                    Err(e) if bad.is_none() => bad = Some(e),
-                    Err(_) => {}
-                }
-            })
-            .map_err(|e| format!("cursor for {app} on {addr}: {e}"))?;
-        if let Some(e) = bad {
-            return Err(format!("cursor cell for {app} on {addr}: {e}"));
-        }
-        if summary.failed > 0 {
-            return Err(format!(
-                "server failed {} of {} cells for {app}",
-                summary.failed, summary.cells
-            ));
-        }
-    }
-    Ok(out)
-}
-
 /// A study `on_complete` sink durably recording every freshly
 /// simulated cell into the result store as it finishes — the
 /// client-side twin of the server's append-on-compute, so a killed
@@ -596,7 +541,7 @@ pub fn cache_sink<'a>(
 /// writes the manifest artifact at the end, honoring the shared
 /// `--format/--out/--emit-manifest` surface. Construction is cheap;
 /// when the Cli asks for no artifact, [`Reporter::finish`] is a no-op,
-/// so every binary can record unconditionally.
+/// so every tool can record unconditionally.
 pub struct Reporter {
     /// The manifest being accumulated.
     pub manifest: Manifest,
@@ -606,8 +551,8 @@ pub struct Reporter {
 }
 
 impl Reporter {
-    /// A reporter for `tool` (the binary name, which also names the
-    /// default artifact `results/<tool>[_small].<ext>`).
+    /// A reporter for `tool` (the binary name or `--figure` id, which
+    /// also names the default artifact `results/<tool>[_small].<ext>`).
     pub fn new(tool: &str, cli: &Cli) -> Reporter {
         Reporter {
             manifest: Manifest::new(tool, cli.size_label(), cli.procs, cli.jobs),
@@ -720,71 +665,6 @@ impl Reporter {
     }
 }
 
-/// Runs one Section 5 capacity figure (Figures 4–8): the named app
-/// swept over cluster sizes at 4K/16K/32K/∞ per-processor caches —
-/// in parallel over the 16 (cache × cluster) work items — printed
-/// next to the paper's approximate bar-chart values. `tool` names the
-/// binary for the manifest artifact.
-pub fn run_capacity_figure(fig: &str, tool: &str, app: &str, cli: &Cli) {
-    use cluster_study::paper_data::capacity_totals;
-    use cluster_study::report::{direction_agrees, render_sweep, shape_distance};
-    use cluster_study::study::StudySpec;
-
-    println!(
-        "{fig}: {app}, finite capacity, {} processors, {} sizes, {} jobs\n",
-        cli.procs,
-        cli.size_label(),
-        cli.jobs
-    );
-    let mut reporter = Reporter::new(tool, cli);
-    let journal = open_journal(tool, cli);
-    let run = timed(&format!("{app} gen+sim"), || {
-        let mut spec = StudySpec::generate(&[app], cli.size, cli.procs)
-            .jobs(cli.jobs)
-            .policy(cli.policy());
-        if let Some((j, prefill)) = &journal {
-            spec = spec.checkpoint(j).prefill(prefill.clone());
-        }
-        spec.run_with(|_| {})
-    });
-    reporter.record_study(&run);
-    if !run.is_complete() {
-        for e in run.errors() {
-            eprintln!(
-                "error: {} {}/{}/{} failed after {} attempts: {}",
-                e.phase.label(),
-                e.app,
-                e.cache.as_deref().unwrap_or("-"),
-                e.cluster.map_or_else(|| "-".to_string(), |c| c.to_string()),
-                e.attempts,
-                e.error
-            );
-        }
-        reporter.finish();
-        std::process::exit(1);
-    }
-    let per_trace = run.per_trace();
-    let caps = &per_trace[0];
-    for sweep in &caps.sweeps {
-        let label = sweep.cache.label();
-        let paper = capacity_totals(app, &label);
-        print!("{}", render_sweep(app, sweep, paper));
-        if let Some(p) = paper {
-            let totals = sweep.normalized_totals();
-            println!(
-                "  shape: mean |Δ| = {:.1} points vs paper, direction {}\n",
-                shape_distance(&totals, p),
-                if direction_agrees(&totals, p) {
-                    "agrees"
-                } else {
-                    "DISAGREES"
-                }
-            );
-        }
-    }
-    reporter.finish();
-}
-
 /// Wall-clock timing helper for progress output.
 pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
     let start = std::time::Instant::now();
@@ -811,7 +691,7 @@ mod tests {
             checkpoint: None,
             resume: false,
             cache: None,
-            serve: None,
+            figure: None,
             sample: None,
             sample_rate: None,
             warmup_ops: None,

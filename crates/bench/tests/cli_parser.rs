@@ -379,3 +379,60 @@ fn usage_lists_the_sampling_flags() {
         assert!(usage.contains(needle), "usage missing {needle}: {usage}");
     }
 }
+
+#[test]
+fn figure_flag_selects_a_regenerator_by_id() {
+    assert_eq!(parse(&[]).unwrap().figure, None);
+    let cli = parse(&["--figure", "fig2_infinite", "--small", "--procs", "8"]).unwrap();
+    assert_eq!(cli.figure, Some("fig2_infinite"));
+    // The capacity figures honour the checkpoint flags, so they parse.
+    let cli = parse(&["--figure", "fig4_raytrace", "--checkpoint", "j.jsonl"]).unwrap();
+    assert_eq!(cli.figure, Some("fig4_raytrace"));
+    let err = parse(&["--figure"]).unwrap_err();
+    assert_eq!(err.message.as_deref(), Some("--figure needs an id"));
+}
+
+#[test]
+fn figure_flag_rejects_an_unknown_id_listing_the_valid_ones() {
+    let err = parse(&["--figure", "nope"]).unwrap_err();
+    let msg = err.message.unwrap();
+    assert!(msg.starts_with("unknown figure `nope`"), "{msg}");
+    for id in ["fig2_infinite", "fig8_volrend", "table7_inf", "wscheck"] {
+        assert!(msg.contains(id), "message misses {id}: {msg}");
+    }
+}
+
+#[test]
+fn figure_flag_rejects_the_flags_no_figure_reads() {
+    for extra in [
+        &["--cache", "store"][..],
+        &["--sample", "periodic"],
+        &["--sample-rate", "0.5"],
+        &["--warmup-ops", "64"],
+        &["--validate-sampling"],
+    ] {
+        let mut args = vec!["--figure", "fig2_infinite"];
+        args.extend_from_slice(extra);
+        let err = parse(&args).unwrap_err();
+        assert_eq!(
+            err.message,
+            Some(format!("--figure cannot be combined with {}", extra[0])),
+            "args {args:?}"
+        );
+        // Flag order does not matter.
+        args.rotate_left(2);
+        assert!(parse(&args).is_err(), "args {args:?}");
+    }
+}
+
+#[test]
+fn usage_lists_the_figure_ids_and_no_serve_client() {
+    let usage = parse(&["--help"]).unwrap_err().usage;
+    assert!(usage.contains("[--figure ID]"), "{usage}");
+    for id in ["fig2_infinite", "table4_conflicts", "ablation_line"] {
+        assert!(usage.contains(id), "usage missing {id}: {usage}");
+    }
+    assert!(!usage.contains("--serve"), "{usage}");
+    let err = parse(&["--serve", "127.0.0.1:1"]).unwrap_err();
+    assert_eq!(err.message.as_deref(), Some("unknown flag --serve"));
+}

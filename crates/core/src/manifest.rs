@@ -330,7 +330,8 @@ impl RunRecord {
 /// A whole tool invocation's worth of records plus provenance.
 #[derive(Debug, Clone)]
 pub struct Manifest {
-    /// Emitting binary (`"paper_run"`, `"fig2_infinite"`, ...).
+    /// Emitting tool: `"paper_run"`, the `paper_run --figure` id
+    /// (`"fig2_infinite"`, ...), or `"serve_soak"`.
     pub tool: String,
     /// Problem-size label (`"paper"` / `"small"`).
     pub size: String,

@@ -24,7 +24,7 @@
 //!   overlap are dropped. Content-addressed cell keys make the
 //!   re-issue idempotent.
 //!
-//! The bench harness (`paper_run --serve`, `serve_soak`), the chaos
+//! The bench harness (`serve_soak`), the chaos
 //! torture suite and the concurrency suite all drive servers through
 //! this type.
 

@@ -96,8 +96,8 @@ impl FaultPlan {
     pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> FaultPlan {
         let parse = |k: &str| get(k).and_then(|v| v.trim().parse::<u64>().ok());
         let mut plan = FaultPlan::disabled();
-        if let Some(rate) = get("STUDY_FAULT_RATE").and_then(|v| v.trim().parse::<f64>().ok()) {
-            plan.rate = rate.clamp(0.0, 1.0);
+        if let Some(rate) = env_rate(&get, "STUDY_FAULT_RATE") {
+            plan.rate = rate;
         }
         if let Some(seed) = parse("STUDY_FAULT_SEED") {
             plan.seed = seed;
@@ -123,7 +123,7 @@ impl FaultPlan {
     /// Whether item `key` is selected to fault at all (independent of
     /// the attempt number).
     pub fn selects(&self, key: &str) -> bool {
-        self.is_active() && Rng64::new(mix_seed(self.seed, fnv1a(key))).gen_bool(self.rate)
+        self.is_active() && rng_for(self.seed, key).gen_bool(self.rate)
     }
 
     /// The fault (if any) to inject into attempt `attempt` (0-based)
@@ -237,11 +237,7 @@ impl IoFaultPlan {
     /// [`IoFaultPlan::from_env`] over an explicit variable source, so
     /// parsing is testable without mutating process state.
     pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> IoFaultPlan {
-        let rate = |k: &str| {
-            get(k)
-                .and_then(|v| v.trim().parse::<f64>().ok())
-                .map(|r| r.clamp(0.0, 1.0))
-        };
+        let rate = |k: &str| env_rate(&get, k);
         let mut plan = IoFaultPlan::disabled();
         if let Some(seed) = get("SERVE_FAULT_SEED").and_then(|v| v.trim().parse::<u64>().ok()) {
             plan.seed = seed;
@@ -275,17 +271,13 @@ impl IoFaultPlan {
             || self.disk_rate > 0.0
     }
 
-    fn rng_for(&self, key: &str) -> Rng64 {
-        Rng64::new(mix_seed(self.seed, fnv1a(key)))
-    }
-
     /// The network fault (if any) for I/O call `op` (a per-connection
     /// 0-based counter) on connection `conn`. Pure.
     pub fn net_op(&self, conn: u64, op: u64) -> Option<NetFault> {
         if self.net_rate <= 0.0 {
             return None;
         }
-        let mut rng = self.rng_for(&format!("net:{conn}:{op}"));
+        let mut rng = rng_for(self.seed, &format!("net:{conn}:{op}"));
         if !rng.gen_bool(self.net_rate) {
             return None;
         }
@@ -299,9 +291,7 @@ impl IoFaultPlan {
     /// Whether connection `conn` is refused at accept time. Pure.
     pub fn refuse_accept(&self, conn: u64) -> bool {
         self.accept_rate > 0.0
-            && self
-                .rng_for(&format!("accept:{conn}"))
-                .gen_bool(self.accept_rate)
+            && rng_for(self.seed, &format!("accept:{conn}")).gen_bool(self.accept_rate)
     }
 
     /// The I/O-op index at which connection `conn` is dropped
@@ -310,7 +300,7 @@ impl IoFaultPlan {
         if self.drop_rate <= 0.0 {
             return None;
         }
-        let mut rng = self.rng_for(&format!("drop:{conn}"));
+        let mut rng = rng_for(self.seed, &format!("drop:{conn}"));
         rng.gen_bool(self.drop_rate)
             .then(|| 1 + rng.bounded_u64(64))
     }
@@ -322,7 +312,7 @@ impl IoFaultPlan {
         if self.disk_rate <= 0.0 || line_len == 0 {
             return None;
         }
-        let mut rng = self.rng_for(&format!("disk:{shard}:{append}"));
+        let mut rng = rng_for(self.seed, &format!("disk:{shard}:{append}"));
         if !rng.gen_bool(self.disk_rate) {
             return None;
         }
@@ -342,6 +332,22 @@ impl IoFaultPlan {
             },
         })
     }
+}
+
+/// The keyed-decision core of both plans: an RNG seeded by
+/// `mix_seed(seed, fnv1a(key))`, so every decision is a pure function
+/// of the plan's seed and a structural key, independent of execution
+/// order.
+fn rng_for(seed: u64, key: &str) -> Rng64 {
+    Rng64::new(mix_seed(seed, fnv1a(key)))
+}
+
+/// A rate variable from `get`, clamped to `[0, 1]`; `None` when unset
+/// or unparsable.
+fn env_rate(get: impl Fn(&str) -> Option<String>, key: &str) -> Option<f64> {
+    get(key)
+        .and_then(|v| v.trim().parse::<f64>().ok())
+        .map(|r| r.clamp(0.0, 1.0))
 }
 
 /// FNV-1a of a string — the same construction `splash::util::rng_for`
