@@ -17,22 +17,24 @@
 //! Fault tolerance: a panicking run is isolated, retried up to
 //! `--retries` times, and — if it never succeeds — recorded in the
 //! manifest's `errors[]` while every other run's results are still
-//! emitted; the process then exits 1. `--checkpoint PATH` journals
-//! each completed run so `--resume` can pick up an interrupted study,
-//! re-executing only the missing runs (`STUDY_KILL_AFTER_RECORDS=N`
-//! is the CI crash-injection lever). `STUDY_FAULT_RATE` /
-//! `STUDY_FAULT_SEED` / `STUDY_FAULT_DEPTH` inject deterministic
-//! faults to exercise all of the above.
+//! emitted; the process then exits 1. `--cache DIR` durably records
+//! each completed run in a `cluster_serve` result store and serves
+//! every already-recorded run from it, so rerunning an interrupted
+//! study over the same directory re-executes only the missing runs
+//! (`SERVE_KILL_AFTER_RECORDS=N` is the CI crash-injection lever).
+//! `STUDY_FAULT_RATE` / `STUDY_FAULT_SEED` / `STUDY_FAULT_DEPTH`
+//! inject deterministic faults to exercise all of the above.
 //!
 //! `--figure ID` runs one of the paper's figure or table regenerators
 //! (`cluster_bench::figures`: `fig2_infinite` … `fig8_volrend`,
 //! `table3_wsets` … `table7_inf`, the ablations and diagnostics)
-//! instead of the matrix; `--help` lists every id.
+//! instead of the matrix; `--help` lists every id. The capacity
+//! figures (fig4–fig8) run through the same study path, so they honour
+//! `--cache`, `--retries` and `--timeout-secs` too.
 
-use cluster_bench::{cache_prefill, cache_sink, open_cache, open_journal, Cli, Reporter};
+use cluster_bench::{run_study, Cli, Reporter};
 use cluster_study::apps::FIG2_APPS;
-use cluster_study::checkpoint::JournalEntry;
-use cluster_study::study::{CellOutcome, StudyEvent, StudySpec, CLUSTER_SIZES};
+use cluster_study::study::{CellOutcome, StudyEvent, CLUSTER_SIZES};
 
 fn main() {
     let cli = Cli::parse();
@@ -47,7 +49,6 @@ fn main() {
         std::process::exit(cluster_bench::sampling::run_validation(&cli, &apps));
     }
     let sampling = cli.sample_spec();
-    let sampling_label = sampling.map(|s| s.key_label());
     println!(
         "paper_run: {} apps x {} cluster sizes x 4 caches, {} procs, {} sizes, {} jobs\n",
         apps.len(),
@@ -67,137 +68,61 @@ fn main() {
 
     // The whole matrix through the pipelined executor; completed
     // items log as they finish, so the gen/sim interleave is visible.
-    let journal = open_journal("paper_run", &cli);
-    let cache = open_cache(&cli);
-    let from_cache = cache
-        .as_ref()
-        .map(|store| {
-            cache_prefill(
-                store,
-                &apps,
-                cli.size_label(),
-                cli.procs,
-                sampling_label.as_deref(),
-            )
-        })
-        .unwrap_or_default();
-    let sink = cache
-        .as_ref()
-        .map(|store| cache_sink(store, cli.size_label(), cli.procs, sampling_label.clone()));
-    let run = {
-        let mut spec = StudySpec::generate(&apps, cli.size, cli.procs)
-            .jobs(cli.jobs)
-            .policy(cli.policy());
-        if let Some(s) = sampling {
-            spec = spec.sampling(s);
+    let run = run_study(&cli, &apps, |e| match e {
+        StudyEvent::GenDone { name, wall, .. } => {
+            eprintln!("[gen {name}: {:.2}s]", wall.as_secs_f64());
         }
-        if let Some((j, prefill)) = &journal {
-            spec = spec.checkpoint(j).prefill(prefill.clone());
+        StudyEvent::SimDone {
+            name,
+            cache,
+            cluster,
+            wall,
+            ..
+        } => {
+            eprintln!(
+                "[sim {name} {} {cluster}p: {:.2}s]",
+                cache.label(),
+                wall.as_secs_f64()
+            );
         }
-        if !from_cache.is_empty() {
-            spec = spec.cache_prefill(from_cache.clone());
+        StudyEvent::GenFailed {
+            name,
+            attempts,
+            error,
+            ..
+        } => {
+            eprintln!("[gen {name}: FAILED after {attempts} attempts: {error}]");
         }
-        if let Some(sink) = &sink {
-            spec = spec.on_complete(sink);
-        }
-        spec.run_with(|e| match e {
-            StudyEvent::GenDone { name, wall, .. } => {
-                eprintln!("[gen {name}: {:.2}s]", wall.as_secs_f64());
-            }
-            StudyEvent::SimDone {
-                name,
-                cache,
-                cluster,
-                wall,
-                ..
-            } => {
+        StudyEvent::SimFailed {
+            name,
+            cache,
+            cluster,
+            attempts,
+            error,
+            ..
+        } => {
+            if *attempts == 0 {
                 eprintln!(
-                    "[sim {name} {} {cluster}p: {:.2}s]",
-                    cache.label(),
-                    wall.as_secs_f64()
+                    "[sim {name} {} {cluster}p: SKIPPED: {error}]",
+                    cache.label()
+                );
+            } else {
+                eprintln!(
+                    "[sim {name} {} {cluster}p: FAILED after {attempts} attempts: {error}]",
+                    cache.label()
                 );
             }
-            StudyEvent::GenFailed {
-                name,
-                attempts,
-                error,
-                ..
-            } => {
-                eprintln!("[gen {name}: FAILED after {attempts} attempts: {error}]");
-            }
-            StudyEvent::SimFailed {
-                name,
-                cache,
-                cluster,
-                attempts,
-                error,
-                ..
-            } => {
-                if *attempts == 0 {
-                    eprintln!(
-                        "[sim {name} {} {cluster}p: SKIPPED: {error}]",
-                        cache.label()
-                    );
-                } else {
-                    eprintln!(
-                        "[sim {name} {} {cluster}p: FAILED after {attempts} attempts: {error}]",
-                        cache.label()
-                    );
-                }
-            }
-        })
-    };
+        }
+    });
 
     // Report, grouped app-by-app in input order. Traces with failed
     // cells keep their completed runs in the manifest but print an
     // error summary instead of a table.
     let mut reporter = Reporter::new("paper_run", &cli);
     reporter.record_study(&run);
-    let resumed = run.resumed_cells();
-    if resumed > 0 {
-        println!("(restored {resumed} runs from checkpoint journal)\n");
-    }
     let cached = run.cached_cells();
     if cached > 0 {
         println!("(served {cached} runs from the result cache)\n");
-    }
-    // Backfill: cells restored from the journal (or just simulated —
-    // record() is insert-if-absent) also belong in the cache, so the
-    // next sweep hits them no matter how this one obtained them.
-    if let Some(store) = &cache {
-        for cell in &run.cells {
-            if let CellOutcome::Done {
-                stats,
-                wall,
-                status,
-                attempts,
-                sampling,
-                ..
-            } = &cell.outcome
-            {
-                let entry = JournalEntry {
-                    app: run.names[cell.trace].clone(),
-                    cache: cell.cache.label(),
-                    cluster: cell.cluster,
-                    stats: stats.clone(),
-                    wall: *wall,
-                    status: *status,
-                    attempts: *attempts,
-                    sampling: *sampling,
-                };
-                let key = store.key_sampled(
-                    &entry.app,
-                    cli.size_label(),
-                    cli.procs,
-                    &entry.cache,
-                    entry.cluster,
-                    sampling_label.as_deref(),
-                );
-                if let Err(e) = store.record(&key, cli.size_label(), cli.procs, &entry) {
-                    eprintln!("[cache: backfill failed for {}: {e}]", entry.app);
-                }
-            }
-        }
     }
     for (t, name) in run.names.iter().enumerate() {
         println!(
@@ -255,20 +180,11 @@ fn main() {
     let m = &mut reporter.manifest.metrics;
     m.gauge("gen_wall_seconds", timing.gen_wall.as_secs_f64());
     m.gauge("total_wall_seconds", timing.wall.as_secs_f64());
-    if cache.is_some() {
+    if cli.cache.is_some() {
         let fresh = run
             .cells
             .iter()
-            .filter(|c| {
-                matches!(
-                    c.outcome,
-                    CellOutcome::Done {
-                        cached: false,
-                        resumed: false,
-                        ..
-                    }
-                )
-            })
+            .filter(|c| matches!(c.outcome, CellOutcome::Done { cached: false, .. }))
             .count();
         m.gauge("cache.hits", cached as f64);
         m.gauge("cache.misses", fresh as f64);

@@ -1,9 +1,12 @@
 //! The paper's figure and table regenerators, plus the extension
 //! ablations and calibration diagnostics, as one table keyed by id.
 //! `paper_run --figure ID` runs one of them instead of the study
-//! matrix. The id names the manifest `tool`, the default artifact
-//! `results/<id>[_small].<ext>` and, for the capacity figures, the
-//! checkpoint-journal header.
+//! matrix. The id names the manifest `tool` and the default artifact
+//! `results/<id>[_small].<ext>`. The capacity figures are `Study`
+//! rows: they run through [`crate::run_study`], so they alone accept
+//! `--cache` (crash-resume through the result store), `--retries` and
+//! `--timeout-secs`; the parser rejects those flags for every `Plain`
+//! row.
 //!
 //! | id | artifact |
 //! |----|----------|
@@ -32,62 +35,76 @@ use coherence::config::CacheSpec;
 use coherence::{LatencyTable, MachineConfig};
 use simcore::ops::{Op, Trace, TraceBuilder};
 
-use crate::{open_journal, timed, Cli, Reporter};
+use crate::{run_study, timed, Cli, Reporter};
 
-/// A regenerator: its own id (the manifest tool name) and the CLI.
-type Figure = fn(&str, &Cli);
+/// One row of the `--figure` table.
+enum Figure {
+    /// A regenerator taking its own id (the manifest tool name) and
+    /// the CLI.
+    Plain(fn(&str, &Cli)),
+    /// A Figures 4–8 capacity sweep through the study pipeline (see
+    /// [`capacity`]): the figure title and the one application swept.
+    Study(&'static str, &'static str),
+}
+
+use Figure::{Plain, Study};
 
 /// Every regenerator `--figure` can select, in paper order.
 const FIGURES: [(&str, Figure); 18] = [
-    ("fig2_infinite", fig2_infinite),
-    ("fig3_ocean_small", fig3_ocean_small),
-    ("fig4_raytrace", |id, cli| {
-        capacity(id, "Figure 4", "raytrace", cli)
-    }),
-    ("fig5_mp3d", |id, cli| capacity(id, "Figure 5", "mp3d", cli)),
-    ("fig6_barnes", |id, cli| {
-        capacity(id, "Figure 6", "barnes", cli)
-    }),
-    ("fig7_fmm", |id, cli| capacity(id, "Figure 7", "fmm", cli)),
-    ("fig8_volrend", |id, cli| {
-        capacity(id, "Figure 8", "volrend", cli)
-    }),
-    ("table3_wsets", table3_wsets),
-    ("table4_conflicts", table4_conflicts),
-    ("table5_factors", table5_factors),
-    ("table6_4kb", |id, cli| {
-        costed_table(
-            id,
-            cli,
-            "Table 6: clustering with 4KB caches",
-            CacheSpec::PerProcBytes(4096),
-            &TABLE6_APPS,
-            paper_data::table6,
-        )
-    }),
-    ("table7_inf", |id, cli| {
-        costed_table(
-            id,
-            cli,
-            "Table 7: clustering with infinite caches",
-            CacheSpec::Infinite,
-            &TABLE7_APPS,
-            paper_data::table7,
-        )
-    }),
-    ("cluster_types", cluster_types),
-    ("ablation_assoc", ablation_assoc),
-    ("ablation_latency", ablation_latency),
-    ("ablation_line", ablation_line),
-    ("appstats", appstats),
-    ("wscheck", wscheck),
+    ("fig2_infinite", Plain(fig2_infinite)),
+    ("fig3_ocean_small", Plain(fig3_ocean_small)),
+    ("fig4_raytrace", Study("Figure 4", "raytrace")),
+    ("fig5_mp3d", Study("Figure 5", "mp3d")),
+    ("fig6_barnes", Study("Figure 6", "barnes")),
+    ("fig7_fmm", Study("Figure 7", "fmm")),
+    ("fig8_volrend", Study("Figure 8", "volrend")),
+    ("table3_wsets", Plain(table3_wsets)),
+    ("table4_conflicts", Plain(table4_conflicts)),
+    ("table5_factors", Plain(table5_factors)),
+    (
+        "table6_4kb",
+        Plain(|id, cli| {
+            costed_table(
+                id,
+                cli,
+                "Table 6: clustering with 4KB caches",
+                CacheSpec::PerProcBytes(4096),
+                &TABLE6_APPS,
+                paper_data::table6,
+            )
+        }),
+    ),
+    (
+        "table7_inf",
+        Plain(|id, cli| {
+            costed_table(
+                id,
+                cli,
+                "Table 7: clustering with infinite caches",
+                CacheSpec::Infinite,
+                &TABLE7_APPS,
+                paper_data::table7,
+            )
+        }),
+    ),
+    ("cluster_types", Plain(cluster_types)),
+    ("ablation_assoc", Plain(ablation_assoc)),
+    ("ablation_latency", Plain(ablation_latency)),
+    ("ablation_line", Plain(ablation_line)),
+    ("appstats", Plain(appstats)),
+    ("wscheck", Plain(wscheck)),
 ];
+
+fn row(id: &str) -> Option<&'static (&'static str, Figure)> {
+    FIGURES.iter().find(|(name, _)| *name == id)
+}
 
 /// Runs the regenerator named `id`. An unknown id exits 2; the CLI
 /// parser rejects one before this is ever reached.
 pub fn run(id: &str, cli: &Cli) {
-    match FIGURES.iter().find(|(name, _)| *name == id) {
-        Some((name, figure)) => figure(name, cli),
+    match row(id) {
+        Some((name, Plain(figure))) => figure(name, cli),
+        Some((name, Study(fig, app))) => capacity(name, fig, app, cli),
         None => {
             eprintln!("error: {}", unknown(id));
             std::process::exit(2)
@@ -95,14 +112,16 @@ pub fn run(id: &str, cli: &Cli) {
     }
 }
 
+/// Whether `id` is a [`Figure::Study`] row, the only kind that reads
+/// `--cache`, `--retries` and `--timeout-secs`.
+pub(crate) fn is_study(id: &str) -> bool {
+    matches!(row(id), Some((_, Study(..))))
+}
+
 /// The table's copy of `id`, or the unknown-id message listing every
 /// valid id.
 pub(crate) fn lookup(id: &str) -> Result<&'static str, String> {
-    FIGURES
-        .iter()
-        .map(|(name, _)| *name)
-        .find(|name| *name == id)
-        .ok_or_else(|| unknown(id))
+    row(id).map(|(name, _)| *name).ok_or_else(|| unknown(id))
 }
 
 /// Every id, in table order.
@@ -229,11 +248,10 @@ fn fig3_ocean_small(id: &str, cli: &Cli) {
 }
 
 /// Figures 4–8: one app swept over cluster sizes at 4K/16K/32K/∞
-/// per-processor caches through the study pipeline (parallel over
-/// the 16 cache × cluster cells, honouring `--checkpoint`/`--resume`
-/// and the retry policy), printed next to the paper's approximate
-/// bar-chart values. A cell that never succeeds exits 1 after the
-/// manifest is written.
+/// per-processor caches through [`run_study`] (parallel over the 16
+/// cache × cluster cells, honouring `--cache` and the retry policy),
+/// printed next to the paper's approximate bar-chart values. A cell
+/// that never succeeds exits 1 after the manifest is written.
 fn capacity(id: &str, fig: &str, app: &str, cli: &Cli) {
     println!(
         "{fig}: {app}, finite capacity, {} processors, {} sizes, {} jobs\n",
@@ -242,16 +260,7 @@ fn capacity(id: &str, fig: &str, app: &str, cli: &Cli) {
         cli.jobs
     );
     let mut reporter = Reporter::new(id, cli);
-    let journal = open_journal(id, cli);
-    let run = timed(&format!("{app} gen+sim"), || {
-        let mut spec = StudySpec::generate(&[app], cli.size, cli.procs)
-            .jobs(cli.jobs)
-            .policy(cli.policy());
-        if let Some((j, prefill)) = &journal {
-            spec = spec.checkpoint(j).prefill(prefill.clone());
-        }
-        spec.run_with(|_| {})
-    });
+    let run = timed(&format!("{app} gen+sim"), || run_study(cli, &[app], |_| {}));
     reporter.record_study(&run);
     if !run.is_complete() {
         for e in run.errors() {

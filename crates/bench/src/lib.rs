@@ -10,8 +10,8 @@ use std::path::PathBuf;
 use cluster_serve::ResultStore;
 use cluster_study::manifest::{Manifest, ServedBy};
 use cluster_study::parallel::RunPolicy;
-use cluster_study::study::ClusterSweep;
-use cluster_study::{Journal, JournalEntry};
+use cluster_study::study::{ClusterSweep, StudyEvent, StudyRun, StudySpec};
+use cluster_study::JournalEntry;
 use simcore::fault::FaultPlan;
 use simcore::sample::{SampleError, SampleMode, SampleSpec};
 use simcore::stats::RunStats;
@@ -71,15 +71,10 @@ pub struct Cli {
     /// `--timeout-secs X`: soft per-item timeout; items that exceed
     /// it are flagged `timeout` in the manifest, never killed.
     pub timeout_secs: Option<f64>,
-    /// `--checkpoint PATH`: journal every completed run to this JSONL
-    /// file (atomic appends).
-    pub checkpoint: Option<PathBuf>,
-    /// `--resume`: restore already-journaled runs from `--checkpoint`
-    /// instead of re-executing them.
-    pub resume: bool,
-    /// `--cache DIR`: serve already-simulated cells from (and record
-    /// fresh cells into) a `cluster_serve` content-addressed result
-    /// store in this directory.
+    /// `--cache DIR`: serve already-simulated cells from (and durably
+    /// record fresh cells into) a `cluster_serve` content-addressed
+    /// result store in this directory — the resume path of an
+    /// interrupted study.
     pub cache: Option<PathBuf>,
     /// `--figure ID`: run one paper figure/table regenerator from
     /// [`figures`] instead of the study matrix (paper_run).
@@ -157,10 +152,8 @@ impl Cli {
         let mut format = Format::Text;
         let mut out = None;
         let mut emit_manifest = false;
-        let mut retries = 0u32;
+        let mut retries = None;
         let mut timeout_secs = None;
-        let mut checkpoint = None;
-        let mut resume = false;
         let mut cache = None;
         let mut figure = None;
         let mut sample = None;
@@ -205,10 +198,11 @@ impl Cli {
                 }
                 "--emit-manifest" => emit_manifest = true,
                 "--retries" => {
-                    retries = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| fail("--retries needs a number"))?;
+                    retries = Some(
+                        args.next()
+                            .and_then(|v| v.parse().ok())
+                            .ok_or_else(|| fail("--retries needs a number"))?,
+                    );
                 }
                 "--timeout-secs" => {
                     timeout_secs = Some(
@@ -218,13 +212,6 @@ impl Cli {
                             .ok_or_else(|| fail("--timeout-secs needs a positive number"))?,
                     );
                 }
-                "--checkpoint" => {
-                    checkpoint = Some(PathBuf::from(
-                        args.next()
-                            .ok_or_else(|| fail("--checkpoint needs a path"))?,
-                    ));
-                }
-                "--resume" => resume = true,
                 "--sample" => {
                     let v = args
                         .next()
@@ -269,14 +256,16 @@ impl Cli {
                 other => return Err(fail(&format!("unknown flag {other}"))),
             }
         }
-        if resume && checkpoint.is_none() {
-            return Err(fail("--resume needs --checkpoint"));
-        }
-        if figure.is_some() {
-            // No regenerator reads these: accepting them would print
-            // numbers that look cached or sampled but are not.
+        if let Some(id) = figure {
+            // Only the study rows read the study flags, and no
+            // regenerator reads the sampling flags: accepting them would
+            // print numbers that look cached, retried or sampled but
+            // are not.
+            let study = figures::is_study(id);
             let unread = [
-                ("--cache", cache.is_some()),
+                ("--cache", cache.is_some() && !study),
+                ("--retries", retries.is_some() && !study),
+                ("--timeout-secs", timeout_secs.is_some() && !study),
                 ("--sample", sample.is_some()),
                 ("--sample-rate", sample_rate.is_some()),
                 ("--warmup-ops", warmup_ops.is_some()),
@@ -302,10 +291,8 @@ impl Cli {
             format,
             out,
             emit_manifest,
-            retries,
+            retries: retries.unwrap_or(0),
             timeout_secs,
-            checkpoint,
-            resume,
             cache,
             figure,
             sample,
@@ -380,8 +367,7 @@ fn usage_text(tool: &str) -> String {
     format!(
         "usage: {tool} [--paper|--small] [--procs N] [--apps a,b,c] [--jobs N]\n\
          \u{20}            [--format text|json|csv] [--out PATH] [--emit-manifest]\n\
-         \u{20}            [--retries N] [--timeout-secs X]\n\
-         \u{20}            [--checkpoint PATH] [--resume] [--cache DIR]\n\
+         \u{20}            [--retries N] [--timeout-secs X] [--cache DIR]\n\
          \u{20}            [--sample periodic|reservoir|phase] [--sample-rate R]\n\
          \u{20}            [--warmup-ops K] [--validate-sampling] [--figure ID]\n\
          \n\
@@ -400,12 +386,9 @@ fn usage_text(tool: &str) -> String {
          \u{20}                (default 0; deterministic per-item backoff-free)\n\
          --timeout-secs   flag items slower than X seconds as `timeout`\n\
          \u{20}                in the manifest (soft: never kills the item)\n\
-         --checkpoint     journal each completed run to this JSONL file\n\
-         \u{20}                (atomic appends; survives a kill at any instant)\n\
-         --resume         restore already-journaled runs from --checkpoint\n\
-         \u{20}                instead of re-executing them\n\
-         --cache          serve already-simulated cells from (and record new\n\
-         \u{20}                cells into) a cluster_serve result store (paper_run)\n\
+         --cache          serve already-simulated cells from (and durably\n\
+         \u{20}                record new cells into) a cluster_serve result\n\
+         \u{20}                store; rerunning a killed study over it resumes\n\
          --sample         replay only sampled intervals with the given\n\
          \u{20}                strategy instead of the full trace\n\
          --sample-rate    fraction of intervals measured, in (0, 1]\n\
@@ -416,57 +399,19 @@ fn usage_text(tool: &str) -> String {
          \u{20}                run sampled-vs-full over every strategy and\n\
          \u{20}                record max relative errors (paper_run)\n\
          --figure         run one paper figure/table instead of the matrix\n\
-         \u{20}                (paper_run; not with --cache or the sampling\n\
-         \u{20}                flags), ID one of:\n\
+         \u{20}                (paper_run; never with the sampling flags, and\n\
+         \u{20}                --cache/--retries/--timeout-secs only with the\n\
+         \u{20}                capacity figures fig4..fig8), ID one of:\n\
          {ids}"
     )
 }
 
-/// Opens the checkpoint journal the CLI asked for (if any): with
-/// `--resume` and an existing file, reopens it and returns its
-/// already-journaled entries as the prefill; otherwise starts a fresh
-/// journal. A malformed or shape-mismatched journal is fatal (exit 2)
-/// — silently re-running everything would defeat the checkpoint.
-/// `STUDY_KILL_AFTER_RECORDS=N` arms the crash-injection hook used by
-/// the CI resume round-trip.
-pub fn open_journal(tool: &str, cli: &Cli) -> Option<(Journal, Vec<JournalEntry>)> {
-    let path = cli.checkpoint.as_ref()?;
-    let fatal = |e: cluster_study::JournalError| -> ! {
-        eprintln!("error: checkpoint {}: {e}", path.display());
-        std::process::exit(2)
-    };
-    let (journal, prefill) = if cli.resume && path.exists() {
-        let journal =
-            Journal::resume(path, tool, cli.size_label(), cli.procs).unwrap_or_else(|e| fatal(e));
-        let prefill = journal.entries();
-        (journal, prefill)
-    } else {
-        let journal =
-            Journal::create(path, tool, cli.size_label(), cli.procs).unwrap_or_else(|e| fatal(e));
-        (journal, Vec::new())
-    };
-    if let Ok(v) = std::env::var("STUDY_KILL_AFTER_RECORDS") {
-        match v.parse() {
-            Ok(n) => journal.set_kill_after(n),
-            Err(_) => eprintln!("[checkpoint: ignoring non-numeric STUDY_KILL_AFTER_RECORDS={v}]"),
-        }
-    }
-    if !prefill.is_empty() {
-        eprintln!(
-            "[resume: skipping {} journaled runs from {}]",
-            prefill.len(),
-            path.display()
-        );
-    }
-    Some((journal, prefill))
-}
-
 /// Opens the `--cache DIR` content-addressed result store (if any).
 /// An unreadable or corrupt store is fatal (exit 2): silently
-/// re-simulating everything would defeat the cache, exactly as a bad
-/// checkpoint journal would defeat `--resume`.
+/// re-simulating everything would defeat the cache and the resume it
+/// provides.
 /// `SERVE_KILL_AFTER_RECORDS=N` arms the store's crash-injection hook.
-pub fn open_cache(cli: &Cli) -> Option<ResultStore> {
+fn open_cache(cli: &Cli) -> Option<ResultStore> {
     let dir = cli.cache.as_ref()?;
     let store = ResultStore::open(dir).unwrap_or_else(|e| {
         eprintln!("error: result cache {}: {e}", dir.display());
@@ -537,6 +482,41 @@ pub fn cache_sink<'a>(
     }
 }
 
+/// Runs the Section 5 study matrix over `apps` the way the CLI asks:
+/// `--jobs`, the retry/timeout policy, `--sample`, and — with
+/// `--cache DIR` — the result store's prefill plus a sink that durably
+/// records each fresh cell as it finishes, so a killed run resumes by
+/// rerunning it over the same store. `progress` sees every settled
+/// item. `paper_run`'s matrix and the capacity figures both run
+/// through here.
+pub fn run_study(cli: &Cli, apps: &[&str], progress: impl Fn(&StudyEvent) + Sync) -> StudyRun {
+    let sampling = cli.sample_spec();
+    let label = sampling.map(|s| s.key_label());
+    let store = open_cache(cli);
+    let size = cli.size_label();
+    let sink = store
+        .as_ref()
+        .map(|store| cache_sink(store, size, cli.procs, label.clone()));
+    let mut spec = StudySpec::generate(apps, cli.size, cli.procs)
+        .jobs(cli.jobs)
+        .policy(cli.policy());
+    if let Some(s) = sampling {
+        spec = spec.sampling(s);
+    }
+    if let (Some(store), Some(sink)) = (&store, &sink) {
+        spec = spec
+            .cache_prefill(cache_prefill(
+                store,
+                apps,
+                size,
+                cli.procs,
+                label.as_deref(),
+            ))
+            .on_complete(sink);
+    }
+    spec.run_with(progress)
+}
+
 /// Collects run records and metrics during a tool's execution and
 /// writes the manifest artifact at the end, honoring the shared
 /// `--format/--out/--emit-manifest` surface. Construction is cheap;
@@ -603,15 +583,14 @@ impl Reporter {
                 wall,
                 status,
                 attempts,
-                resumed,
                 cached,
                 sampling,
             } = &cell.outcome
             {
-                let served_by = match (cached, resumed) {
-                    (true, _) => ServedBy::Cache,
-                    (false, true) => ServedBy::Journal,
-                    (false, false) => ServedBy::Sim,
+                let served_by = if *cached {
+                    ServedBy::Cache
+                } else {
+                    ServedBy::Sim
                 };
                 self.manifest.record_outcome(
                     &run.names[cell.trace],
@@ -688,8 +667,6 @@ mod tests {
             emit_manifest: false,
             retries: 0,
             timeout_secs: None,
-            checkpoint: None,
-            resume: false,
             cache: None,
             figure: None,
             sample: None,

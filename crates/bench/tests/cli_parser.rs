@@ -157,27 +157,12 @@ fn timeout_flag_requires_a_positive_duration() {
 }
 
 #[test]
-fn checkpoint_flag_takes_a_path() {
-    assert_eq!(parse(&[]).unwrap().checkpoint, None);
-    let cli = parse(&["--checkpoint", "results/j.jsonl"]).unwrap();
-    assert_eq!(cli.checkpoint, Some(PathBuf::from("results/j.jsonl")));
-    assert!(!cli.resume);
-    let err = parse(&["--checkpoint"]).unwrap_err();
-    assert_eq!(err.message.as_deref(), Some("--checkpoint needs a path"));
-}
-
-#[test]
-fn resume_requires_a_checkpoint() {
-    let cli = parse(&["--checkpoint", "j.jsonl", "--resume"]).unwrap();
-    assert!(cli.resume);
-    // Order doesn't matter: --resume may precede --checkpoint.
-    assert!(
-        parse(&["--resume", "--checkpoint", "j.jsonl"])
-            .unwrap()
-            .resume
-    );
-    let err = parse(&["--resume"]).unwrap_err();
-    assert_eq!(err.message.as_deref(), Some("--resume needs --checkpoint"));
+fn checkpoint_and_resume_are_unknown_flags() {
+    // The result store (`--cache DIR`) is the one resume path.
+    for flag in ["--checkpoint", "--resume"] {
+        let err = parse(&[flag, "j.jsonl"]).unwrap_err();
+        assert_eq!(err.message, Some(format!("unknown flag {flag}")));
+    }
 }
 
 #[test]
@@ -185,9 +170,6 @@ fn cache_flag_takes_a_directory() {
     assert_eq!(parse(&[]).unwrap().cache, None);
     let cli = parse(&["--cache", "results/store"]).unwrap();
     assert_eq!(cli.cache, Some(PathBuf::from("results/store")));
-    // Caching composes with checkpointing — they are independent.
-    let both = parse(&["--cache", "s", "--checkpoint", "j.jsonl"]).unwrap();
-    assert!(both.cache.is_some() && both.checkpoint.is_some());
     let err = parse(&["--cache"]).unwrap_err();
     assert_eq!(err.message.as_deref(), Some("--cache needs a directory"));
 }
@@ -246,10 +228,12 @@ fn usage_names_the_actual_tool_everywhere() {
         "--emit-manifest",
         "--retries",
         "--timeout-secs",
-        "--checkpoint",
-        "--resume",
+        "--cache",
     ] {
         assert!(err.usage.contains(flag), "usage missing {flag}");
+    }
+    for gone in ["--checkpoint", "--resume"] {
+        assert!(!err.usage.contains(gone), "usage still lists {gone}");
     }
 }
 
@@ -385,9 +369,22 @@ fn figure_flag_selects_a_regenerator_by_id() {
     assert_eq!(parse(&[]).unwrap().figure, None);
     let cli = parse(&["--figure", "fig2_infinite", "--small", "--procs", "8"]).unwrap();
     assert_eq!(cli.figure, Some("fig2_infinite"));
-    // The capacity figures honour the checkpoint flags, so they parse.
-    let cli = parse(&["--figure", "fig4_raytrace", "--checkpoint", "j.jsonl"]).unwrap();
-    assert_eq!(cli.figure, Some("fig4_raytrace"));
+    // The capacity figures run through the study, so they take the
+    // study flags.
+    let cli = parse(&[
+        "--figure",
+        "fig5_mp3d",
+        "--cache",
+        "d",
+        "--retries",
+        "1",
+        "--timeout-secs",
+        "2",
+    ])
+    .unwrap();
+    assert_eq!(cli.figure, Some("fig5_mp3d"));
+    assert_eq!(cli.cache, Some(PathBuf::from("d")));
+    assert_eq!((cli.retries, cli.timeout_secs), (1, Some(2.0)));
     let err = parse(&["--figure"]).unwrap_err();
     assert_eq!(err.message.as_deref(), Some("--figure needs an id"));
 }
@@ -402,26 +399,56 @@ fn figure_flag_rejects_an_unknown_id_listing_the_valid_ones() {
     }
 }
 
+/// Asserts `--figure id` plus `extra` is rejected naming `extra[0]`,
+/// in either flag order.
+fn assert_rejected(id: &str, extra: &[&str]) {
+    let mut args = vec!["--figure", id];
+    args.extend_from_slice(extra);
+    let err = parse(&args).unwrap_err();
+    assert_eq!(
+        err.message,
+        Some(format!("--figure cannot be combined with {}", extra[0])),
+        "args {args:?}"
+    );
+    args.rotate_left(2);
+    assert!(parse(&args).is_err(), "args {args:?}");
+}
+
 #[test]
 fn figure_flag_rejects_the_flags_no_figure_reads() {
+    for id in ["fig2_infinite", "fig5_mp3d"] {
+        for extra in [
+            &["--sample", "periodic"][..],
+            &["--sample-rate", "0.5"],
+            &["--warmup-ops", "64"],
+            &["--validate-sampling"],
+        ] {
+            assert_rejected(id, extra);
+        }
+    }
+}
+
+#[test]
+fn study_flags_are_rejected_for_every_plain_figure() {
     for extra in [
-        &["--cache", "store"][..],
-        &["--sample", "periodic"],
-        &["--sample-rate", "0.5"],
-        &["--warmup-ops", "64"],
-        &["--validate-sampling"],
+        &["--cache", "d"][..],
+        &["--retries", "1"],
+        &["--retries", "0"],
+        &["--timeout-secs", "2"],
     ] {
-        let mut args = vec!["--figure", "fig2_infinite"];
-        args.extend_from_slice(extra);
-        let err = parse(&args).unwrap_err();
-        assert_eq!(
-            err.message,
-            Some(format!("--figure cannot be combined with {}", extra[0])),
-            "args {args:?}"
-        );
-        // Flag order does not matter.
-        args.rotate_left(2);
-        assert!(parse(&args).is_err(), "args {args:?}");
+        for id in [
+            "fig2_infinite",
+            "fig3_ocean_small",
+            "table4_conflicts",
+            "wscheck",
+        ] {
+            assert_rejected(id, extra);
+        }
+        for id in ["fig4_raytrace", "fig6_barnes", "fig7_fmm", "fig8_volrend"] {
+            let mut args = vec!["--figure", id];
+            args.extend_from_slice(extra);
+            assert!(parse(&args).is_ok(), "args {args:?}");
+        }
     }
 }
 

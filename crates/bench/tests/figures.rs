@@ -36,3 +36,26 @@ fn figure_with_sampling_exits_2() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(out.stdout.is_empty(), "no figure ran");
 }
+
+#[test]
+fn study_flags_on_a_plain_figure_exit_2() {
+    for args in [
+        &["--figure", "fig2_infinite", "--cache", "d"][..],
+        &["--figure", "table4_conflicts", "--retries", "1"],
+    ] {
+        let out = paper_run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "no figure ran");
+        assert!(!std::path::Path::new("d").exists(), "no store was opened");
+    }
+}
+
+#[test]
+fn checkpoint_and_resume_are_unknown_flags() {
+    for flag in ["--checkpoint", "--resume"] {
+        let out = paper_run(&["--small", flag, "j.jsonl"]);
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    }
+}

@@ -126,7 +126,7 @@ fn validate_run(run: &Json) -> Vec<f64> {
     // when one appears the pair must be present and consistent.
     if let Some(served) = run.get("served_by").and_then(Json::as_str) {
         assert!(
-            ["sim", "cache", "journal"].contains(&served),
+            ["sim", "cache"].contains(&served),
             "unknown served_by {served:?}"
         );
         let hit = run

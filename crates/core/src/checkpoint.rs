@@ -1,141 +1,33 @@
-//! Checkpoint journals: crash-safe progress for long studies.
+//! The durable record of one finished study cell.
 //!
-//! A full paper run is 144 simulations over several minutes; losing
-//! all of them to a crash at simulation 143 is unacceptable on shared
-//! or preemptible hardware. This module journals every completed run
-//! to a JSONL file as it finishes, so an interrupted study can be
-//! resumed with `--resume`, re-executing only the missing runs and
-//! producing a final manifest whose deterministic view is
-//! bit-identical to an uninterrupted run's.
-//!
-//! Format (`clustered-smp/journal/v1`): line 1 is a header object
-//! binding the journal to a `(tool, size, procs)` shape — resuming
-//! under a different shape is an error, not a silent mix — and every
-//! further line is one [`JournalEntry`] holding the *complete*
-//! [`RunStats`] (every per-processor breakdown and memory counter),
-//! because a resumed manifest must serialize byte-identically to a
-//! fresh one.
-//!
-//! Durability: the header is written through [`write_atomic`] (tmp
-//! file, fsync, rename) and every entry is then *appended* as one
-//! JSONL line followed by `fdatasync` — O(1) per append instead of
-//! the old whole-file-rewrite-per-append (O(n²) over a study). The
-//! price is that a kill can now land mid-`write(2)` and leave a torn
-//! *final* line; [`recover_journal`] therefore tolerates exactly
-//! that — a malformed last line is dropped, anything malformed
-//! earlier is still a hard error — and [`Journal::resume`] heals the
-//! file back to a clean prefix before reopening it for append. Every
-//! prefix of completed work still survives a kill at any instant.
-//! The `kill_after` hook (driven by `STUDY_KILL_AFTER_RECORDS` in
-//! `paper_run`) exits the process with code 42 after the Nth append —
-//! the crash-injection lever the CI resume round-trip and the
-//! checkpoint property tests use.
+//! A [`JournalEntry`] holds a cell's identity, its *complete*
+//! [`RunStats`] (every per-processor breakdown and memory counter), how
+//! the execution went and, for a sampled run, its sampling provenance.
+//! It is the payload of every line of the `cluster_serve` result store
+//! (`paper_run --cache DIR`), which makes an interrupted study
+//! resumable: a rerun over the same store serves every recorded cell
+//! instead of simulating it, and the manifest's deterministic view is
+//! bit-identical to an uninterrupted run's. The store owns the crash
+//! contract (append + `fdatasync`, torn-final-line healing; DESIGN.md
+//! §12.3).
 
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use simcore::sample::SamplingStats;
 use simcore::stats::{Breakdown, MissStats, RunStats};
 use simcore::Json;
 
-use crate::manifest::write_atomic;
 use crate::parallel::RunStatus;
 
-/// Schema identifier on the journal's header line.
-pub const JOURNAL_SCHEMA: &str = "clustered-smp/journal/v1";
-
-/// Process exit code used by the `kill_after` crash-injection hook,
-/// chosen to be distinguishable from both success and a panic.
+/// Process exit code of the result store's `kill_after`
+/// crash-injection hook (`SERVE_KILL_AFTER_RECORDS`), chosen to be
+/// distinguishable from both success and a panic.
 pub const KILL_EXIT_CODE: i32 = 42;
 
-/// A journal operation that failed.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum JournalError {
-    /// Filesystem trouble.
-    Io(std::io::Error),
-    /// A line that does not parse as the schema demands.
-    Malformed {
-        /// 1-based line number in the journal file.
-        line: usize,
-        /// What was wrong with it.
-        reason: String,
-    },
-    /// The header exists but belongs to a different study shape.
-    Mismatch {
-        /// What the header disagreed about.
-        reason: String,
-    },
-}
-
-impl std::fmt::Display for JournalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JournalError::Io(e) => write!(f, "journal I/O: {e}"),
-            JournalError::Malformed { line, reason } => {
-                write!(f, "journal line {line} malformed: {reason}")
-            }
-            JournalError::Mismatch { reason } => write!(f, "journal mismatch: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for JournalError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            JournalError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for JournalError {
-    fn from(e: std::io::Error) -> JournalError {
-        JournalError::Io(e)
-    }
-}
-
-/// The journal's first line: what study this is a checkpoint of.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalHeader {
-    /// Emitting tool (`"paper_run"`, ...).
-    pub tool: String,
-    /// Problem-size label (`"paper"` / `"small"`).
-    pub size: String,
-    /// Simulated processors.
-    pub procs: usize,
-}
-
-impl JournalHeader {
-    /// Header line JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("schema", JOURNAL_SCHEMA)
-            .with("tool", self.tool.as_str())
-            .with("size", self.size.as_str())
-            .with("procs", self.procs)
-    }
-
-    fn from_json(j: &Json) -> Result<JournalHeader, String> {
-        let schema = str_field(j, "schema")?;
-        if schema != JOURNAL_SCHEMA {
-            return Err(format!(
-                "schema {schema:?} is not the supported {JOURNAL_SCHEMA:?}"
-            ));
-        }
-        Ok(JournalHeader {
-            tool: str_field(j, "tool")?.to_string(),
-            size: str_field(j, "size")?.to_string(),
-            procs: u64_field(j, "procs")? as usize,
-        })
-    }
-}
-
-/// One journaled simulation: identity, complete stats, and how the
-/// execution went. The `(app, cache, cluster)` triple is the resume
-/// key — the study's seeding is a pure function of it, so a journaled
-/// result is interchangeable with a re-executed one.
+/// One recorded simulation: identity, complete stats, and how the
+/// execution went. The study's seeding is a pure function of the
+/// `(app, cache, cluster)` triple, so a recorded result is
+/// interchangeable with a re-executed one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalEntry {
     /// Application name.
@@ -153,15 +45,14 @@ pub struct JournalEntry {
     /// Attempts the original execution took.
     pub attempts: u32,
     /// Sampling provenance when the run was sampled; `None` for a
-    /// full-trace run. A journaled sampled result is only
+    /// full-trace run. A recorded sampled result is only
     /// interchangeable with a re-execution under the *same* sampling
-    /// spec, so resume filters on this.
+    /// spec, so prefill filters on this.
     pub sampling: Option<SamplingStats>,
 }
 
 impl JournalEntry {
-    /// The resume key: a run already journaled under this key is
-    /// skipped by `--resume`.
+    /// The cell's `(app, cache, cluster)` identity within one study.
     pub fn key(&self) -> (String, String, u32) {
         (self.app.clone(), self.cache.clone(), self.cluster)
     }
@@ -222,7 +113,8 @@ impl JournalEntry {
         e
     }
 
-    /// Parses one journaled entry back, field-exactly.
+    /// Parses one recorded entry back, field-exactly. Never panics:
+    /// anything malformed is an `Err` naming what was wrong.
     pub fn from_json(j: &Json) -> Result<JournalEntry, String> {
         let status_label = str_field(j, "status")?;
         let status = RunStatus::parse(status_label)
@@ -284,7 +176,11 @@ impl JournalEntry {
             wall: j
                 .get("wall_seconds")
                 .and_then(Json::as_f64)
-                .map(Duration::from_secs_f64),
+                .map(|s| {
+                    Duration::try_from_secs_f64(s)
+                        .map_err(|_| format!("wall_seconds {s} is not a duration"))
+                })
+                .transpose()?,
             status,
             attempts: u64_field(j, "attempts")? as u32,
             sampling: j.get("sampling").and_then(SamplingStats::from_json),
@@ -302,225 +198,6 @@ fn u64_field(j: &Json, name: &str) -> Result<u64, String> {
     j.get(name)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing integer field {name:?}"))
-}
-
-/// Renders a header plus entries as the JSONL journal text.
-pub fn render_journal(header: &JournalHeader, entries: &[JournalEntry]) -> String {
-    let mut out = header.to_json().to_string();
-    out.push('\n');
-    for e in entries {
-        out.push_str(&e.to_json().to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses journal text back into header and entries. Any malformed
-/// line — including a truncated tail — is an error carrying its line
-/// number. Use [`recover_journal`] to tolerate a torn final line.
-pub fn parse_journal(text: &str) -> Result<(JournalHeader, Vec<JournalEntry>), JournalError> {
-    let (header, entries, torn) = scan_journal(text)?;
-    if let Some(err) = torn {
-        return Err(err);
-    }
-    Ok((header, entries))
-}
-
-/// Like [`parse_journal`], but tolerates a malformed **final** line —
-/// the signature of a kill mid-append — returning the clean prefix
-/// plus the 1-based number of the dropped line. Malformed lines that
-/// are *followed* by a valid line are still hard errors: that is
-/// corruption, not a torn append.
-pub fn recover_journal(
-    text: &str,
-) -> Result<(JournalHeader, Vec<JournalEntry>, Option<usize>), JournalError> {
-    let (header, entries, torn) = scan_journal(text)?;
-    let dropped = torn.map(|err| match err {
-        JournalError::Malformed { line, .. } => line,
-        _ => 0,
-    });
-    Ok((header, entries, dropped))
-}
-
-/// Shared scanner: parses the header strictly, then entries in order.
-/// A parse failure on the final non-empty line is returned as the
-/// third tuple slot (the caller decides whether a torn tail is fatal);
-/// a failure anywhere earlier is a hard error.
-fn scan_journal(
-    text: &str,
-) -> Result<(JournalHeader, Vec<JournalEntry>, Option<JournalError>), JournalError> {
-    let lines: Vec<(usize, &str)> = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .collect();
-    let &(line0, header_line) = lines.first().ok_or(JournalError::Malformed {
-        line: 1,
-        reason: "empty journal (no header line)".to_string(),
-    })?;
-    let parse_line = |line: usize, l: &str| {
-        simcore::json::parse(l).map_err(|e| JournalError::Malformed {
-            line: line + 1,
-            reason: e.to_string(),
-        })
-    };
-    let header = JournalHeader::from_json(&parse_line(line0, header_line)?)
-        .map_err(|reason| JournalError::Malformed { line: 1, reason })?;
-    let mut entries = Vec::new();
-    for (pos, &(i, l)) in lines.iter().enumerate().skip(1) {
-        let parsed = parse_line(i, l).and_then(|j| {
-            JournalEntry::from_json(&j).map_err(|reason| JournalError::Malformed {
-                line: i + 1,
-                reason,
-            })
-        });
-        match parsed {
-            Ok(e) => entries.push(e),
-            Err(err) if pos == lines.len() - 1 => return Ok((header, entries, Some(err))),
-            Err(err) => return Err(err),
-        }
-    }
-    Ok((header, entries, None))
-}
-
-#[derive(Debug)]
-struct JournalState {
-    /// Append-mode handle to the journal file; `O_APPEND` keeps every
-    /// `write(2)` positioned at end-of-file.
-    file: std::fs::File,
-    entries: Vec<JournalEntry>,
-    appended: usize,
-    kill_after: Option<usize>,
-}
-
-fn open_append(path: &Path) -> Result<std::fs::File, JournalError> {
-    std::fs::OpenOptions::new()
-        .append(true)
-        .open(path)
-        .map_err(JournalError::Io)
-}
-
-/// An append-only checkpoint journal bound to one study shape.
-/// `append` is safe to call from the executor's progress callback on
-/// any worker thread.
-#[derive(Debug)]
-pub struct Journal {
-    path: PathBuf,
-    header: JournalHeader,
-    state: Mutex<JournalState>,
-}
-
-impl Journal {
-    /// Starts a fresh journal at `path`, truncating any previous one,
-    /// and durably writes the header line.
-    pub fn create(
-        path: &Path,
-        tool: &str,
-        size: &str,
-        procs: usize,
-    ) -> Result<Journal, JournalError> {
-        let header = JournalHeader {
-            tool: tool.to_string(),
-            size: size.to_string(),
-            procs,
-        };
-        write_atomic(path, render_journal(&header, &[]).as_bytes())?;
-        Ok(Journal {
-            path: path.to_path_buf(),
-            header,
-            state: Mutex::new(JournalState {
-                file: open_append(path)?,
-                entries: Vec::new(),
-                appended: 0,
-                kill_after: None,
-            }),
-        })
-    }
-
-    /// Reopens an existing journal, validating that it checkpoints
-    /// the same `(tool, size, procs)` shape. The already-journaled
-    /// entries become the study's prefill. A torn final line — the
-    /// fingerprint of a kill mid-append — is dropped and the file is
-    /// healed back to the clean prefix before appending resumes;
-    /// corruption anywhere earlier is an error.
-    pub fn resume(
-        path: &Path,
-        tool: &str,
-        size: &str,
-        procs: usize,
-    ) -> Result<Journal, JournalError> {
-        let text = std::fs::read_to_string(path)?;
-        let (header, entries, torn) = recover_journal(&text)?;
-        if header.tool != tool || header.size != size || header.procs != procs {
-            return Err(JournalError::Mismatch {
-                reason: format!(
-                    "journal is for {}/{}/{} procs, this run is {}/{}/{} procs",
-                    header.tool, header.size, header.procs, tool, size, procs
-                ),
-            });
-        }
-        if let Some(line) = torn {
-            eprintln!("[checkpoint] dropping torn journal line {line} (kill mid-append)");
-            write_atomic(path, render_journal(&header, &entries).as_bytes())?;
-        }
-        Ok(Journal {
-            path: path.to_path_buf(),
-            header,
-            state: Mutex::new(JournalState {
-                file: open_append(path)?,
-                entries,
-                appended: 0,
-                kill_after: None,
-            }),
-        })
-    }
-
-    /// The journal file's location.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The study shape this journal checkpoints.
-    pub fn header(&self) -> &JournalHeader {
-        &self.header
-    }
-
-    /// Snapshot of everything journaled so far (restored + appended).
-    pub fn entries(&self) -> Vec<JournalEntry> {
-        self.state.lock().unwrap().entries.clone()
-    }
-
-    /// Arms the crash-injection hook: the process exits with
-    /// [`KILL_EXIT_CODE`] right after the `n`-th append of *this*
-    /// process durably lands. Test/CI machinery only.
-    pub fn set_kill_after(&self, n: usize) {
-        self.state.lock().unwrap().kill_after = Some(n);
-    }
-
-    /// Durably appends one completed run as a single JSONL line
-    /// followed by `fdatasync` — O(1) per append. A kill mid-write
-    /// can tear at most this final line, which `resume` drops and
-    /// heals. Panics on I/O failure: silently losing checkpoint
-    /// durability would defeat the journal's purpose.
-    pub fn append(&self, entry: JournalEntry) {
-        use std::io::Write as _;
-        let mut st = self.state.lock().unwrap();
-        let mut line = entry.to_json().to_string();
-        line.push('\n');
-        st.entries.push(entry);
-        st.file
-            .write_all(line.as_bytes())
-            .and_then(|()| st.file.sync_data())
-            .unwrap_or_else(|e| panic!("cannot append to checkpoint journal {:?}: {e}", self.path));
-        st.appended += 1;
-        if st.kill_after.is_some_and(|n| st.appended >= n) {
-            eprintln!(
-                "[checkpoint] kill_after={} reached, exiting {}",
-                st.appended, KILL_EXIT_CODE
-            );
-            std::process::exit(KILL_EXIT_CODE);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -608,118 +285,14 @@ mod tests {
     }
 
     #[test]
-    fn journal_text_roundtrips() {
-        let header = JournalHeader {
-            tool: "paper_run".into(),
-            size: "small".into(),
-            procs: 64,
-        };
-        let entries = vec![entry("lu", 1, 10), entry("lu", 2, 20), entry("ocean", 8, 5)];
-        let text = render_journal(&header, &entries);
-        assert_eq!(text.lines().count(), 4);
-        let (h2, e2) = parse_journal(&text).unwrap();
-        assert_eq!(h2, header);
-        assert_eq!(e2, entries);
-    }
-
-    #[test]
-    fn parse_rejects_garbage_with_line_numbers() {
-        let header = JournalHeader {
-            tool: "t".into(),
-            size: "small".into(),
-            procs: 8,
-        };
-        let mut text = render_journal(&header, &[entry("lu", 1, 10)]);
-        text.push_str("{\"app\": \"trunc");
-        match parse_journal(&text) {
-            Err(JournalError::Malformed { line, .. }) => assert_eq!(line, 3),
-            other => panic!("expected malformed line 3, got {other:?}"),
+    fn entry_rejects_a_wall_that_is_not_a_duration() {
+        let line = entry("lu", 1, 10).to_json().to_string();
+        for bad in ["-1", "1e300", "18446744073709551616"] {
+            let text = line.replace("\"wall_seconds\":1.25", &format!("\"wall_seconds\":{bad}"));
+            assert_ne!(text, line, "the wall was swapped");
+            let j = simcore::json::parse(&text).unwrap();
+            let err = JournalEntry::from_json(&j).unwrap_err();
+            assert!(err.contains("wall_seconds"), "{bad}: {err}");
         }
-        assert!(parse_journal("").is_err());
-        assert!(parse_journal("{\"schema\": \"something/else\"}\n").is_err());
-    }
-
-    #[test]
-    fn recover_drops_only_a_torn_final_line() {
-        let header = JournalHeader {
-            tool: "t".into(),
-            size: "small".into(),
-            procs: 8,
-        };
-        let clean = render_journal(&header, &[entry("lu", 1, 10), entry("lu", 2, 20)]);
-
-        // Torn tail: prefix survives, dropped line number reported.
-        let mut torn = clean.clone();
-        torn.push_str("{\"app\": \"tru");
-        let (h, entries, dropped) = recover_journal(&torn).unwrap();
-        assert_eq!(h, header);
-        assert_eq!(entries.len(), 2);
-        assert_eq!(dropped, Some(4));
-        assert!(parse_journal(&torn).is_err(), "strict parse still rejects");
-
-        // A clean journal recovers with nothing dropped.
-        let (_, entries, dropped) = recover_journal(&clean).unwrap();
-        assert_eq!((entries.len(), dropped), (2, None));
-
-        // Mid-journal corruption is NOT a torn tail: hard error.
-        let corrupt = clean.replace("\"cluster\":1", "\"cluster\":oops");
-        assert!(matches!(
-            recover_journal(&corrupt),
-            Err(JournalError::Malformed { line: 2, .. })
-        ));
-
-        // A torn header is unrecoverable.
-        assert!(recover_journal("{\"schema").is_err());
-    }
-
-    #[test]
-    fn resume_heals_torn_tail_and_appends_cleanly() {
-        use std::io::Write as _;
-        let dir = std::env::temp_dir().join("clustered-smp-journal-torn-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn.jsonl");
-        let j = Journal::create(&path, "t", "small", 8).unwrap();
-        j.append(entry("lu", 1, 10));
-        j.append(entry("lu", 2, 20));
-        drop(j);
-
-        // Simulate a kill mid-append: a trailing partial line.
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .unwrap();
-        f.write_all(b"{\"app\": \"lu\", \"cac").unwrap();
-        drop(f);
-
-        let r = Journal::resume(&path, "t", "small", 8).unwrap();
-        assert_eq!(r.entries().len(), 2, "clean prefix survives");
-        // The file was healed: strict parsing succeeds again...
-        let text = std::fs::read_to_string(&path).unwrap();
-        let (_, entries) = parse_journal(&text).unwrap();
-        assert_eq!(entries.len(), 2);
-        // ...and further appends extend the healed file.
-        r.append(entry("ocean", 4, 30));
-        let text = std::fs::read_to_string(&path).unwrap();
-        let (_, entries) = parse_journal(&text).unwrap();
-        assert_eq!(entries.len(), 3);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn create_append_resume_roundtrip() {
-        let dir = std::env::temp_dir().join("clustered-smp-journal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("j.jsonl");
-        let j = Journal::create(&path, "t", "small", 8).unwrap();
-        j.append(entry("lu", 1, 10));
-        j.append(entry("lu", 2, 20));
-        let r = Journal::resume(&path, "t", "small", 8).unwrap();
-        assert_eq!(r.entries(), j.entries());
-        assert_eq!(r.entries().len(), 2);
-        match Journal::resume(&path, "t", "paper", 8) {
-            Err(JournalError::Mismatch { reason }) => assert!(reason.contains("small")),
-            other => panic!("expected shape mismatch, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -31,7 +31,7 @@ pub mod parallel;
 pub mod report;
 pub mod study;
 
-pub use checkpoint::{Journal, JournalEntry, JournalError, JournalHeader};
+pub use checkpoint::JournalEntry;
 pub use contention::{bank_conflict_probability, shared_cache_factor};
 pub use latency_factor::{measure_latency_factors, LatencyFactors};
 pub use manifest::{write_atomic, Manifest, RunError, RunRecord, ServedBy};

@@ -38,7 +38,7 @@
 //!
 //! The serving layer (`cluster_serve`, DESIGN.md §12) added two more
 //! v2-additive per-run execution fields: `cache_hit` (bool) and
-//! `served_by` (`sim` / `cache` / `journal`, see [`ServedBy`]) —
+//! `served_by` (`sim` / `cache`, see [`ServedBy`]) —
 //! again full-view only, so cache-served results remain byte-identical
 //! to fresh ones in the stats view. Readers must keep treating
 //! unknown full-view fields as ignorable (the §9 `schema_version`
@@ -93,8 +93,6 @@ pub enum ServedBy {
     Sim,
     /// Served from a content-addressed result cache (a `cache_hit`).
     Cache,
-    /// Restored from this study's own checkpoint journal (`--resume`).
-    Journal,
 }
 
 impl ServedBy {
@@ -103,7 +101,6 @@ impl ServedBy {
         match self {
             ServedBy::Sim => "sim",
             ServedBy::Cache => "cache",
-            ServedBy::Journal => "journal",
         }
     }
 
@@ -112,7 +109,6 @@ impl ServedBy {
         match s {
             "sim" => Some(ServedBy::Sim),
             "cache" => Some(ServedBy::Cache),
-            "journal" => Some(ServedBy::Journal),
             _ => None,
         }
     }
@@ -140,12 +136,11 @@ pub struct RunRecord {
     /// How the run completed. Like `wall`, an execution property:
     /// serialized in the full view only.
     pub status: RunStatus,
-    /// Attempts the run took (1 = first try). A run restored from a
-    /// checkpoint journal keeps the attempt count it was journaled
-    /// with.
+    /// Attempts the run took (1 = first try). A run served from the
+    /// result cache keeps the attempt count it was recorded with.
     pub attempts: u32,
-    /// Where the result came from: fresh simulation, result cache, or
-    /// checkpoint journal. Full view only, like `wall` and `status`.
+    /// Where the result came from: fresh simulation or result cache.
+    /// Full view only, like `wall` and `status`.
     pub served_by: ServedBy,
     /// Sampling provenance when the run replayed only selected
     /// intervals; `None` for a full-trace run. Serialized (with its
@@ -425,7 +420,7 @@ impl Manifest {
 
     /// Records one simulation with its execution status, attempt
     /// count and result provenance (for runs under a fault-tolerance
-    /// policy or served from a cache/journal).
+    /// policy or served from the result cache).
     #[allow(clippy::too_many_arguments)]
     pub fn record_outcome(
         &mut self,
@@ -849,13 +844,13 @@ mod tests {
             None,
             RunStatus::Timeout,
             1,
-            ServedBy::Journal,
+            ServedBy::Cache,
             None,
         );
         let csv = m.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert!(lines[0].ends_with("wall_seconds,status,attempts,cache_hit,served_by"));
-        assert!(lines[1].ends_with(",timeout,1,false,journal"));
+        assert!(lines[1].ends_with(",timeout,1,true,cache"));
         assert_eq!(
             lines[0].split(',').count(),
             lines[1].split(',').count(),

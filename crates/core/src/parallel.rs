@@ -411,7 +411,7 @@ impl<T, O> GuardedRun<T, O> {
 /// One completed (or permanently failed) item of a guarded pipeline,
 /// delivered to the progress callback the moment the item settles.
 /// `value` is the simulation output for successful [`Phase::Sim`]
-/// items — the hook the checkpoint journal appends from — and `None`
+/// items — the hook the result store records from — and `None`
 /// for generators and failures.
 #[derive(Debug)]
 pub struct GuardedEvent<'a, O> {
@@ -461,7 +461,7 @@ pub struct GuardedEvent<'a, O> {
 ///
 /// `progress` fires exactly once per item — success, failure or skip
 /// — with the [`ItemReport`] and, for successful simulations, a
-/// reference to the output (the checkpoint journal's append hook).
+/// reference to the output (the result store's record hook).
 #[allow(clippy::too_many_arguments)]
 pub fn run_pipeline_guarded<GI, T, SI, O, GF, SF, PF>(
     gen_inputs: &[GI],
@@ -1012,7 +1012,7 @@ mod tests {
     }
 
     /// The exact event order of a one-worker run, which is the
-    /// checkpoint journal's append order at `--jobs 1`: generate g,
+    /// result store's append order at `--jobs 1`: generate g,
     /// then g's sims in input order (skipped right after a failed
     /// generator), then g+1. The steal-chunk size never reorders it.
     #[test]

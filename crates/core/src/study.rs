@@ -31,10 +31,11 @@
 //! Fault tolerance: a [`crate::parallel::RunPolicy`] (panic
 //! isolation, bounded retries, soft timeouts — see
 //! [`StudySpec::policy`]) turns a crashing work item into a recorded
-//! [`StudyCell`] failure instead of a lost study; a checkpoint
-//! [`Journal`] ([`StudySpec::checkpoint`] / [`StudySpec::prefill`])
-//! makes an interrupted study resumable, re-executing only the cells
-//! the journal does not already hold.
+//! [`StudyCell`] failure instead of a lost study. A durable cell log
+//! ([`StudySpec::cache_prefill`] / [`StudySpec::on_complete`], backed by
+//! the `cluster_serve` result store) makes an interrupted study
+//! resumable, re-executing only the cells the log does not already
+//! hold.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -46,7 +47,7 @@ use simcore::sample::{SamplePlan, SampleSpec, SamplingStats};
 use simcore::stats::RunStats;
 use splash::ProblemSize;
 
-use crate::checkpoint::{Journal, JournalEntry};
+use crate::checkpoint::JournalEntry;
 use crate::manifest::RunError;
 use crate::parallel::{self, FanoutTiming, GuardedEvent, Phase, RunPolicy, RunStatus};
 
@@ -219,18 +220,17 @@ pub enum StudyEvent<'a> {
 #[derive(Debug, Clone)]
 pub enum CellOutcome {
     /// The simulation completed (possibly after retries, possibly
-    /// restored from a checkpoint journal).
+    /// served from a result cache).
     Done {
         /// The simulation result.
         stats: RunStats,
-        /// Wall-clock, when measured (journaled walls survive resume).
+        /// Wall-clock, when measured (recorded walls survive a cache
+        /// hit).
         wall: Option<Duration>,
         /// How the execution went.
         status: RunStatus,
         /// Attempts it took.
         attempts: u32,
-        /// Restored from a checkpoint journal instead of executed.
-        resumed: bool,
         /// Served from a content-addressed result cache
         /// ([`StudySpec::cache_prefill`]) instead of executed.
         cached: bool,
@@ -274,11 +274,11 @@ pub enum GenOutcome {
         /// Attempts it took.
         attempts: u32,
     },
-    /// Not needed: every cell of this trace came from the checkpoint
-    /// journal.
+    /// Not needed: every cell of this trace came from the result
+    /// cache.
     Skipped,
-    /// Failed permanently; every not-yet-journaled cell of this trace
-    /// is a skipped [`CellOutcome::Failed`].
+    /// Failed permanently; every not-yet-cached cell of this trace is
+    /// a skipped [`CellOutcome::Failed`].
     Failed {
         /// The failure (usually a panic payload).
         error: String,
@@ -306,7 +306,7 @@ pub struct StudyRun {
     /// The full matrix in (trace, cache, cluster) order.
     pub cells: Vec<StudyCell>,
     /// Aggregate two-phase timing of the whole run (executed items
-    /// only — resumed cells cost no new work).
+    /// only — cache-served cells cost no new work).
     pub timing: FanoutTiming,
     /// Cluster sizes per sweep (cell index arithmetic).
     sizes_per_sweep: usize,
@@ -442,7 +442,7 @@ impl StudyRun {
 
     /// The per-simulation walls of one trace's one cache sweep,
     /// parallel to that [`ClusterSweep::runs`] (zero for failed or
-    /// wall-less resumed cells).
+    /// wall-less cache-served cells).
     pub fn sim_walls_for(&self, trace: usize, cache_idx: usize) -> Vec<Duration> {
         (0..self.sizes_per_sweep)
             .map(|s| match &self.cell(trace, cache_idx, s).outcome {
@@ -450,15 +450,6 @@ impl StudyRun {
                 CellOutcome::Failed { .. } => Duration::ZERO,
             })
             .collect()
-    }
-
-    /// How many cells were restored from the checkpoint journal
-    /// instead of executed.
-    pub fn resumed_cells(&self) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| matches!(c.outcome, CellOutcome::Done { resumed: true, .. }))
-            .count()
     }
 
     /// How many cells were served from the content-addressed result
@@ -494,8 +485,6 @@ pub struct StudySpec<'a> {
     sizes: Vec<u32>,
     jobs: Option<usize>,
     policy: RunPolicy,
-    journal: Option<&'a Journal>,
-    prefill: Vec<JournalEntry>,
     cache_prefill: Vec<JournalEntry>,
     on_complete: Option<&'a (dyn Fn(&JournalEntry) + Sync)>,
     sampling: Option<SampleSpec>,
@@ -511,8 +500,6 @@ impl<'a> StudySpec<'a> {
             sizes: CLUSTER_SIZES.to_vec(),
             jobs: None,
             policy: RunPolicy::none(),
-            journal: None,
-            prefill: Vec::new(),
             cache_prefill: Vec::new(),
             on_complete: None,
             sampling: None,
@@ -538,8 +525,6 @@ impl<'a> StudySpec<'a> {
             sizes: CLUSTER_SIZES.to_vec(),
             jobs: None,
             policy: RunPolicy::none(),
-            journal: None,
-            prefill: Vec::new(),
             cache_prefill: Vec::new(),
             on_complete: None,
             sampling: None,
@@ -579,47 +564,30 @@ impl<'a> StudySpec<'a> {
         self
     }
 
-    /// Journals every completed simulation to `journal` as it
-    /// finishes (atomic whole-file rewrites; see
-    /// [`crate::checkpoint`]).
-    pub fn checkpoint(mut self, journal: &'a Journal) -> StudySpec<'a> {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Restores already-completed runs: any `(app, cache, cluster)`
-    /// cell matching an entry is taken from it instead of executed —
-    /// the `--resume` half of checkpoint/resume.
-    pub fn prefill(mut self, entries: Vec<JournalEntry>) -> StudySpec<'a> {
-        self.prefill = entries;
-        self
-    }
-
     /// Serves already-simulated cells from a content-addressed result
     /// cache: any `(app, cache, cluster)` cell matching an entry is
     /// restored from it and flagged `cached` (a `cache_hit` in the
-    /// manifest) instead of executed. Checkpoint prefill wins when a
-    /// cell appears in both — a journal belongs to *this* study, the
-    /// cache is shared.
+    /// manifest) instead of executed — the resume half of a durable
+    /// cell log whose record half is [`StudySpec::on_complete`].
     pub fn cache_prefill(mut self, entries: Vec<JournalEntry>) -> StudySpec<'a> {
         self.cache_prefill = entries;
         self
     }
 
     /// Calls `sink(entry)` for every *freshly executed* cell as it
-    /// completes (cache-served and journal-restored cells are not
-    /// re-reported) — the hook a result store uses to absorb new
-    /// simulations. Runs on worker threads; must be `Sync`.
+    /// completes (cache-served cells are not re-reported) — the hook a
+    /// result store uses to absorb new simulations. Runs on worker
+    /// threads; must be `Sync`.
     pub fn on_complete(mut self, sink: &'a (dyn Fn(&JournalEntry) + Sync)) -> StudySpec<'a> {
         self.on_complete = Some(sink);
         self
     }
 
     /// Runs every simulation sampled under `spec` instead of
-    /// full-trace (see [`run_config_sampled`]). Prefill entries —
-    /// journal or result-cache — only match a cell when their recorded
-    /// sampling spec equals this one, so sampled and full results
-    /// never substitute for each other on resume.
+    /// full-trace (see [`run_config_sampled`]). Prefill entries only
+    /// match a cell when their recorded sampling spec equals this one,
+    /// so sampled and full results never substitute for each other on
+    /// resume.
     pub fn sampling(mut self, spec: SampleSpec) -> StudySpec<'a> {
         self.sampling = Some(spec);
         self
@@ -715,39 +683,28 @@ impl<'a> StudySpec<'a> {
             })
             .collect();
 
-        // Cells already present in a prefill are restored, not
+        // Cells already present in the prefill are served, not
         // executed; the rest form the sub-problem handed to the
-        // pipeline. Traces whose every cell was restored are not
-        // generated at all. Checkpoint-journal entries shadow
-        // result-cache entries for the same key (a journal is this
-        // study's own history; the cache is shared). An entry only
-        // matches when its recorded sampling spec equals this study's
-        // — a full result must never stand in for a sampled one or
-        // vice versa.
-        let compatible = |e: &JournalEntry| e.sampling.map(|s| s.spec()) == self.sampling;
-        let pre: HashMap<(&str, String, u32), (&JournalEntry, bool)> = self
+        // pipeline. Traces whose every cell was served are not
+        // generated at all. An entry only matches when its recorded
+        // sampling spec equals this study's — a full result must never
+        // stand in for a sampled one or vice versa.
+        let pre: HashMap<(&str, String, u32), &JournalEntry> = self
             .cache_prefill
             .iter()
-            .filter(|e| compatible(e))
-            .map(|e| ((e.app.as_str(), e.cache.clone(), e.cluster), (e, true)))
-            .chain(
-                self.prefill
-                    .iter()
-                    .filter(|e| compatible(e))
-                    .map(|e| ((e.app.as_str(), e.cache.clone(), e.cluster), (e, false))),
-            )
+            .filter(|e| e.sampling.map(|s| s.spec()) == self.sampling)
+            .map(|e| ((e.app.as_str(), e.cache.clone(), e.cluster), e))
             .collect();
         let mut outcomes: Vec<Option<CellOutcome>> = full
             .iter()
             .map(|&(t, (cache, c))| {
                 pre.get(&(names[t].as_str(), cache.label(), c))
-                    .map(|&(e, cached)| CellOutcome::Done {
+                    .map(|e| CellOutcome::Done {
                         stats: e.stats.clone(),
                         wall: e.wall,
                         status: e.status,
                         attempts: e.attempts,
-                        resumed: !cached,
-                        cached,
+                        cached: true,
                         sampling: e.sampling,
                     })
             })
@@ -767,71 +724,64 @@ impl<'a> StudySpec<'a> {
             .map(|&i| (sub_index[&full[i].0], full[i].1))
             .collect();
 
-        let report =
-            |ev: GuardedEvent<'_, (u32, RunStats, Option<SamplingStats>)>| match ev.report.phase {
-                Phase::Gen => {
-                    let t = gen_sub[ev.report.index];
-                    let event = match &ev.report.error {
-                        Some(err) => StudyEvent::GenFailed {
-                            trace: t,
-                            name: &names[t],
-                            attempts: ev.report.attempts,
-                            error: err,
-                        },
-                        None => StudyEvent::GenDone {
-                            trace: t,
-                            name: &names[t],
-                            wall: ev.report.wall,
-                        },
-                    };
-                    progress(&event);
-                }
-                Phase::Sim => {
-                    let (t, (cache, cluster)) = full[missing[ev.report.index]];
-                    match &ev.report.error {
-                        Some(err) => progress(&StudyEvent::SimFailed {
+        let report = |ev: GuardedEvent<'_, (u32, RunStats, Option<SamplingStats>)>| match ev
+            .report
+            .phase
+        {
+            Phase::Gen => {
+                let t = gen_sub[ev.report.index];
+                let event = match &ev.report.error {
+                    Some(err) => StudyEvent::GenFailed {
+                        trace: t,
+                        name: &names[t],
+                        attempts: ev.report.attempts,
+                        error: err,
+                    },
+                    None => StudyEvent::GenDone {
+                        trace: t,
+                        name: &names[t],
+                        wall: ev.report.wall,
+                    },
+                };
+                progress(&event);
+            }
+            Phase::Sim => {
+                let (t, (cache, cluster)) = full[missing[ev.report.index]];
+                match &ev.report.error {
+                    Some(err) => progress(&StudyEvent::SimFailed {
+                        trace: t,
+                        name: &names[t],
+                        cache,
+                        cluster,
+                        attempts: ev.report.attempts,
+                        error: err,
+                    }),
+                    None => {
+                        progress(&StudyEvent::SimDone {
                             trace: t,
                             name: &names[t],
                             cache,
                             cluster,
-                            attempts: ev.report.attempts,
-                            error: err,
-                        }),
-                        None => {
-                            progress(&StudyEvent::SimDone {
-                                trace: t,
-                                name: &names[t],
-                                cache,
+                            wall: ev.report.wall,
+                        });
+                        if let (Some((_, stats, sampling)), Some(sink)) =
+                            (ev.value, self.on_complete)
+                        {
+                            sink(&JournalEntry {
+                                app: names[t].clone(),
+                                cache: cache.label(),
                                 cluster,
-                                wall: ev.report.wall,
+                                stats: stats.clone(),
+                                wall: Some(ev.report.wall),
+                                status: ev.report.status().expect("successful sim has a status"),
+                                attempts: ev.report.attempts,
+                                sampling: *sampling,
                             });
-                            if let Some((_, stats, sampling)) = ev.value {
-                                if self.journal.is_some() || self.on_complete.is_some() {
-                                    let entry = JournalEntry {
-                                        app: names[t].clone(),
-                                        cache: cache.label(),
-                                        cluster,
-                                        stats: stats.clone(),
-                                        wall: Some(ev.report.wall),
-                                        status: ev
-                                            .report
-                                            .status()
-                                            .expect("successful sim has a status"),
-                                        attempts: ev.report.attempts,
-                                        sampling: *sampling,
-                                    };
-                                    if let Some(journal) = self.journal {
-                                        journal.append(entry.clone());
-                                    }
-                                    if let Some(sink) = self.on_complete {
-                                        sink(&entry);
-                                    }
-                                }
-                            }
                         }
                     }
                 }
-            };
+            }
+        };
         let run = parallel::run_pipeline_guarded(
             &sub_inputs,
             &items,
@@ -850,7 +800,7 @@ impl<'a> StudySpec<'a> {
             report,
         );
 
-        // Reassemble the full canonical matrix around the restored
+        // Reassemble the full canonical matrix around the served
         // cells.
         let mut sub_sims = run.sims;
         for (sub_i, &orig) in missing.iter().enumerate() {
@@ -861,7 +811,6 @@ impl<'a> StudySpec<'a> {
                     wall: Some(wall),
                     status: rep.status().expect("successful sim has a status"),
                     attempts: rep.attempts,
-                    resumed: false,
                     cached: false,
                     sampling,
                 },
@@ -1123,57 +1072,50 @@ mod tests {
             .cache_prefill(entries.clone())
             .run_with(|_| panic!("nothing should execute on a full cache prefill"));
         assert_eq!(served.cached_cells(), 2);
-        assert_eq!(served.resumed_cells(), 0);
         assert_eq!(served.timing.items, 0);
+        assert!(
+            matches!(served.gens[0], GenOutcome::Skipped),
+            "a fully served trace is not generated"
+        );
         assert_eq!(
             first.per_trace()[0].sweeps[0].runs,
             served.per_trace()[0].sweeps[0].runs,
             "cache-served cells must be bit-identical"
         );
-
-        // Journal prefill shadows the cache for overlapping keys.
-        let mixed = StudySpec::for_trace(&t)
-            .caches([CacheSpec::Infinite])
-            .cluster_sizes(&[1, 2])
-            .jobs(2)
-            .prefill(vec![entries[0].clone()])
-            .cache_prefill(entries)
-            .run_with(|_| panic!("fully prefilled"));
-        assert_eq!(mixed.resumed_cells(), 1);
-        assert_eq!(mixed.cached_cells(), 1);
     }
 
-    /// Checkpoint + prefill round-trip: the resumed study re-executes
-    /// nothing and reproduces the same sweep.
+    /// A partial prefill (a study killed after its first recorded
+    /// cell) serves that cell and re-executes only the rest; the sink
+    /// sees exactly the re-executed cell, so the log ends complete.
     #[test]
-    fn checkpoint_prefill_restores_without_reexecution() {
-        let dir = std::env::temp_dir().join("clustered-smp-study-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("j.jsonl");
+    fn partial_cache_prefill_executes_only_the_missing_cells() {
+        use std::sync::Mutex;
         let t = shared_readers(8, 16);
-        let journal = Journal::create(&path, "test", "small", 8).unwrap();
-        let first = StudySpec::for_trace(&t)
-            .caches([CacheSpec::Infinite])
-            .cluster_sizes(&[1, 2])
-            .jobs(2)
-            .checkpoint(&journal)
+        let spec = || {
+            StudySpec::for_trace(&t)
+                .caches([CacheSpec::Infinite])
+                .cluster_sizes(&[1, 2])
+                .jobs(2)
+        };
+        let log: Mutex<Vec<JournalEntry>> = Mutex::new(Vec::new());
+        let sink = |e: &JournalEntry| log.lock().unwrap().push(e.clone());
+        let first = spec().on_complete(&sink).run_with(|_| {});
+        let recorded = std::mem::take(&mut *log.lock().unwrap());
+        assert_eq!(recorded.len(), 2);
+
+        let resumed = spec()
+            .cache_prefill(recorded[..1].to_vec())
+            .on_complete(&sink)
             .run_with(|_| {});
-        assert_eq!(journal.entries().len(), 2);
-        let reopened = Journal::resume(&path, "test", "small", 8).unwrap();
-        let resumed = StudySpec::for_trace(&t)
-            .caches([CacheSpec::Infinite])
-            .cluster_sizes(&[1, 2])
-            .jobs(2)
-            .prefill(reopened.entries())
-            .run_with(|_| panic!("nothing should execute on a full prefill"));
-        assert_eq!(resumed.resumed_cells(), 2);
-        assert_eq!(resumed.timing.items, 0);
+        assert_eq!(resumed.cached_cells(), 1);
+        assert_eq!(resumed.timing.items, 1, "only the missing cell executes");
+        let fresh = log.into_inner().unwrap();
+        assert_eq!(fresh.len(), 1, "served cells are not re-reported");
+        assert_ne!(fresh[0].key(), recorded[0].key());
         assert_eq!(
             first.per_trace()[0].sweeps[0].runs,
             resumed.per_trace()[0].sweeps[0].runs,
-            "restored cells must be bit-identical"
+            "served and re-executed cells must be bit-identical"
         );
-        assert!(matches!(resumed.gens[0], GenOutcome::Skipped));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

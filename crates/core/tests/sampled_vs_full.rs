@@ -149,7 +149,7 @@ fn warmup_ops_touch_caches_but_never_count_in_stats() {
     );
 }
 
-/// A journal entry for one lu cell, recorded under `sampling`.
+/// A result-cache entry for one lu cell, recorded under `sampling`.
 fn entry(cluster: u32, sampling: Option<SamplingStats>) -> JournalEntry {
     let trace = cluster_study::apps::trace_for("lu", ProblemSize::Small, 8);
     let stats = run_config(&trace, cluster, CacheSpec::PerProcBytes(4096));
@@ -171,46 +171,38 @@ fn prefill_entries_only_match_the_same_sampling_spec() {
     let trace = cluster_study::apps::trace_for("lu", ProblemSize::Small, 8);
     let plan_stats = SamplePlan::for_trace(&trace, &spec).stats();
 
-    // A full-run entry must not be restored into a sampled study.
+    // A full-run entry must not be served to a sampled study.
     let run = StudySpec::generate(&["lu"], ProblemSize::Small, 8)
         .caches([CacheSpec::PerProcBytes(4096)])
         .cluster_sizes(&[1, 2])
         .sampling(spec)
-        .prefill(vec![entry(1, None), entry(2, None)])
+        .cache_prefill(vec![entry(1, None), entry(2, None)])
         .run_with(|_| {});
-    assert_eq!(
-        run.resumed_cells(),
-        0,
-        "full entries served a sampled study"
-    );
+    assert_eq!(run.cached_cells(), 0, "full entries served a sampled study");
 
-    // A sampled entry must not be restored into a full study.
+    // A sampled entry must not be served to a full study.
     let sampled_entries = vec![entry(1, Some(plan_stats)), entry(2, Some(plan_stats))];
     let run = StudySpec::generate(&["lu"], ProblemSize::Small, 8)
         .caches([CacheSpec::PerProcBytes(4096)])
         .cluster_sizes(&[1, 2])
-        .prefill(sampled_entries.clone())
+        .cache_prefill(sampled_entries.clone())
         .run_with(|_| {});
-    assert_eq!(
-        run.resumed_cells(),
-        0,
-        "sampled entries served a full study"
-    );
+    assert_eq!(run.cached_cells(), 0, "sampled entries served a full study");
 
     // The same spec matches — and a *different* spec does not.
     let run = StudySpec::generate(&["lu"], ProblemSize::Small, 8)
         .caches([CacheSpec::PerProcBytes(4096)])
         .cluster_sizes(&[1, 2])
         .sampling(spec)
-        .prefill(sampled_entries.clone())
+        .cache_prefill(sampled_entries.clone())
         .run_with(|_| {});
-    assert_eq!(run.resumed_cells(), 2, "matching spec must restore");
+    assert_eq!(run.cached_cells(), 2, "matching spec must be served");
     let other = SampleSpec { rate: 0.5, ..spec };
     let run = StudySpec::generate(&["lu"], ProblemSize::Small, 8)
         .caches([CacheSpec::PerProcBytes(4096)])
         .cluster_sizes(&[1, 2])
         .sampling(other)
-        .prefill(sampled_entries)
+        .cache_prefill(sampled_entries)
         .run_with(|_| {});
-    assert_eq!(run.resumed_cells(), 0, "different spec must re-execute");
+    assert_eq!(run.cached_cells(), 0, "different spec must re-execute");
 }

@@ -527,145 +527,39 @@ impl CellResult {
     }
 }
 
-/// Counter snapshot rendered by [`Response::Stats`]. Built with
-/// [`ServeStats::new`] (the required request/cell counters) plus the
-/// builder-style [`traces`], [`store`], [`eviction`] and [`faults`]
-/// refinements.
-///
-/// [`traces`]: ServeStats::traces
-/// [`store`]: ServeStats::store
-/// [`eviction`]: ServeStats::eviction
-/// [`faults`]: ServeStats::faults
+/// Counter snapshot rendered by [`Response::Stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    requests: u64,
-    cells_served: u64,
-    cache_hits: u64,
-    sims_run: u64,
-    trace_hits: u64,
-    trace_gens: u64,
-    store_entries: u64,
-    store_bytes: u64,
-    evictions: u64,
-    compactions: u64,
-    shards: u64,
-    shed: u64,
-    net_faults: u64,
-    disk_faults: u64,
-    append_failures: u64,
-}
-
-impl ServeStats {
-    /// Required counters: requests handled (any op, including failed
-    /// ones), study cells served, cache hits, fresh simulations.
-    pub fn new(requests: u64, cells_served: u64, cache_hits: u64, sims_run: u64) -> ServeStats {
-        ServeStats {
-            requests,
-            cells_served,
-            cache_hits,
-            sims_run,
-            ..ServeStats::default()
-        }
-    }
-
-    /// Trace-store counters: hits and fresh generations.
-    pub fn traces(mut self, hits: u64, gens: u64) -> ServeStats {
-        self.trace_hits = hits;
-        self.trace_gens = gens;
-        self
-    }
-
-    /// Result-store shape: live entries, on-disk bytes, shard count.
-    pub fn store(mut self, entries: u64, bytes: u64, shards: u64) -> ServeStats {
-        self.store_entries = entries;
-        self.store_bytes = bytes;
-        self.shards = shards;
-        self
-    }
-
-    /// Eviction/compaction counters.
-    pub fn eviction(mut self, evictions: u64, compactions: u64) -> ServeStats {
-        self.evictions = evictions;
-        self.compactions = compactions;
-        self
-    }
-
-    /// Degradation counters: requests shed under overload, injected
-    /// network faults, injected disk faults, and appends that failed
-    /// to reach disk durably (injected or real).
-    pub fn faults(
-        mut self,
-        shed: u64,
-        net_faults: u64,
-        disk_faults: u64,
-        append_failures: u64,
-    ) -> ServeStats {
-        self.shed = shed;
-        self.net_faults = net_faults;
-        self.disk_faults = disk_faults;
-        self.append_failures = append_failures;
-        self
-    }
-
     /// Requests handled (any op, including failed ones).
-    pub fn requests(&self) -> u64 {
-        self.requests
-    }
-
+    pub requests: u64,
     /// Study cells served (hits + fresh simulations).
-    pub fn cells_served(&self) -> u64 {
-        self.cells_served
-    }
-
+    pub cells_served: u64,
     /// Cells served from the result store.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
+    pub cache_hits: u64,
     /// Cells that ran a fresh simulation.
-    pub fn sims_run(&self) -> u64 {
-        self.sims_run
-    }
-
+    pub sims_run: u64,
+    /// Traces served from the in-memory trace store.
+    pub trace_hits: u64,
+    /// Traces generated fresh.
+    pub trace_gens: u64,
     /// Entries currently in the result store.
-    pub fn store_entries(&self) -> u64 {
-        self.store_entries
-    }
-
-    /// Bytes the result store holds on disk.
-    pub fn store_bytes(&self) -> u64 {
-        self.store_bytes
-    }
-
-    /// Entries evicted under the byte budget.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Shard-journal compaction rewrites.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// Requests shed under the per-connection op budget.
-    pub fn shed(&self) -> u64 {
-        self.shed
-    }
-
-    /// Injected network faults (shorts, storms, drops, refusals).
-    pub fn net_faults(&self) -> u64 {
-        self.net_faults
-    }
-
-    /// Injected disk faults.
-    pub fn disk_faults(&self) -> u64 {
-        self.disk_faults
-    }
-
-    /// Appends that failed to reach disk durably.
-    pub fn append_failures(&self) -> u64 {
-        self.append_failures
-    }
+    pub store_entries: u64,
+    /// Bytes the result store holds on disk (v2 only).
+    pub store_bytes: u64,
+    /// Entries evicted under the byte budget (v2 only).
+    pub evictions: u64,
+    /// Shard-journal compaction rewrites (v2 only).
+    pub compactions: u64,
+    /// Shard journals backing the store (v2 only).
+    pub shards: u64,
+    /// Requests shed under the per-connection op budget (v2 only).
+    pub shed: u64,
+    /// Injected network faults (v2 only).
+    pub net_faults: u64,
+    /// Injected disk faults (v2 only).
+    pub disk_faults: u64,
+    /// Appends that failed to reach disk durably (v2 only).
+    pub append_failures: u64,
 }
 
 /// One spec's worth of cells inside a `batch` response.
@@ -680,8 +574,8 @@ pub struct BatchJob {
 /// Every line the server can write, rendered by one [`to_json`].
 ///
 /// The v1 shapes (`Pong`, `ShutdownAck`, `Error`, `Run`, and `Stats`
-/// under [`ProtoVersion::V1`]) are byte-identical to the PR 6
-/// free-function writers they replace.
+/// under [`ProtoVersion::V1`]) are byte-identical to the original v1
+/// wire format, pinned by the serve protocol suite.
 ///
 /// [`to_json`]: Response::to_json
 #[derive(Debug, Clone)]
@@ -944,50 +838,6 @@ impl Response {
                 .with("store_bytes", *store_bytes),
         }
     }
-}
-
-/// `ping` acknowledgement.
-#[deprecated(note = "use `Response::Pong { id }.to_json()`")]
-pub fn pong(id: Option<u64>) -> Json {
-    Response::Pong { id }.to_json()
-}
-
-/// `shutdown` acknowledgement; the connection closes after this line.
-#[deprecated(note = "use `Response::ShutdownAck { id }.to_json()`")]
-pub fn shutdown_ack(id: Option<u64>) -> Json {
-    Response::ShutdownAck { id }.to_json()
-}
-
-/// Error response for any failed request.
-#[deprecated(note = "use `Response::Error { id, err }.to_json()`")]
-pub fn error_response(id: Option<u64>, err: &ProtocolError) -> Json {
-    Response::Error {
-        id,
-        err: err.clone(),
-    }
-    .to_json()
-}
-
-/// Successful `run` response.
-#[deprecated(note = "use `Response::Run { id, app, cells }.to_json()`")]
-pub fn run_response(id: Option<u64>, app: &str, cells: &[CellResult]) -> Json {
-    Response::Run {
-        id,
-        app: app.to_string(),
-        cells: cells.to_vec(),
-    }
-    .to_json()
-}
-
-/// `stats` response (v1 shape).
-#[deprecated(note = "use `Response::Stats { id, stats, version }.to_json()`")]
-pub fn stats_response(id: Option<u64>, s: &ServeStats) -> Json {
-    Response::Stats {
-        id,
-        stats: *s,
-        version: ProtoVersion::V1,
-    }
-    .to_json()
 }
 
 /// One read from the request stream.

@@ -182,21 +182,23 @@ impl ServeState {
     pub fn stats(&self) -> ServeStats {
         let sc = self.store.counters();
         let tc = self.traces.counters();
-        ServeStats::new(
-            self.requests.load(Ordering::SeqCst),
-            sc.hits + sc.misses,
-            sc.hits,
-            sc.misses,
-        )
-        .traces(tc.hits, tc.gens)
-        .store(sc.entries as u64, sc.bytes, sc.shards as u64)
-        .eviction(sc.evictions, sc.compactions)
-        .faults(
-            self.shed.load(Ordering::SeqCst),
-            self.chaos_counters.total(),
-            sc.disk_faults,
-            sc.append_failures,
-        )
+        ServeStats {
+            requests: self.requests.load(Ordering::SeqCst),
+            cells_served: sc.hits + sc.misses,
+            cache_hits: sc.hits,
+            sims_run: sc.misses,
+            trace_hits: tc.hits,
+            trace_gens: tc.gens,
+            store_entries: sc.entries as u64,
+            store_bytes: sc.bytes,
+            evictions: sc.evictions,
+            compactions: sc.compactions,
+            shards: sc.shards as u64,
+            shed: self.shed.load(Ordering::SeqCst),
+            net_faults: self.chaos_counters.total(),
+            disk_faults: sc.disk_faults,
+            append_failures: sc.append_failures,
+        }
     }
 
     /// Counts one request (any op, including unparseable and

@@ -20,11 +20,19 @@
 //! [`STORE_SCHEMA_V2`] plus the shard index and count; every further
 //! line is one [`StoreEntry`] — the key plus the complete
 //! [`JournalEntry`] (full `RunStats`, so a cache hit can reproduce the
-//! manifest's deterministic view byte for byte). Appends are a single
-//! `write(2)` followed by `fdatasync`, exactly like the checkpoint
-//! journal, and recovery tolerates exactly one torn *final* line per
-//! shard — it is dropped and the shard healed through `write_atomic`;
-//! a malformed line anywhere earlier is a hard error. The shard count
+//! manifest's deterministic view byte for byte).
+//!
+//! # Crash contract
+//!
+//! The store is the workspace's one durable cell log: the server
+//! records every computed cell in it, and `paper_run --cache DIR`
+//! records every fresh cell as it finishes, so rerunning a killed
+//! study over the same directory resumes it. Appends are a single
+//! `write(2)` followed by `fdatasync`, so every completed append
+//! survives a kill at any instant. A kill mid-`write(2)` can tear only
+//! a shard's *final* line: [`scan_store`] drops it and
+//! [`ResultStore::open`] heals the shard through `write_atomic`; a
+//! malformed line anywhere earlier is a hard error. The shard count
 //! on disk wins over the configured one, so reopening an existing
 //! store with a different [`StoreConfig::shards`] never re-routes
 //! keys. A PR 6 single-file store (`store.jsonl`, [`STORE_SCHEMA`])
@@ -91,9 +99,9 @@ pub const STORE_FILE_V1_BACKUP: &str = "store.jsonl.v1";
 /// Shard count a fresh store is created with.
 pub const DEFAULT_SHARDS: usize = 4;
 
-/// Exit code of the `kill_after` crash-injection hook (the serving
-/// analogue of the journal's `STUDY_KILL_AFTER_RECORDS`), shared with
-/// the checkpoint journal so harnesses treat both alike.
+/// Exit code of the `kill_after` crash-injection hook
+/// (`SERVE_KILL_AFTER_RECORDS`), re-exported from
+/// `cluster_study::checkpoint` so every harness checks the same code.
 pub const KILL_EXIT_CODE: i32 = cluster_study::checkpoint::KILL_EXIT_CODE;
 
 /// File name of shard `i` inside the store directory.
@@ -192,7 +200,7 @@ pub fn cell_key(app: &str, size: &str, procs: usize, cache: &str, cluster: u32) 
     cell_key_sampled(app, size, procs, cache, cluster, None)
 }
 
-/// Label for a [`ProblemSize`], matching the journal header's `size`.
+/// Label for a [`ProblemSize`], matching a store entry's `size`.
 pub fn size_label(size: ProblemSize) -> &'static str {
     match size {
         ProblemSize::Paper => "paper",
@@ -352,6 +360,7 @@ pub struct ResultStore {
     clock: AtomicU64,
     appended: AtomicUsize,
     kill_after: AtomicUsize, // 0 = disarmed
+    kill_gate: Mutex<()>,
     fault: Mutex<IoFaultPlan>,
     disk_faults: AtomicU64,
     append_failures: AtomicU64,
@@ -573,6 +582,7 @@ impl ResultStore {
             clock: AtomicU64::new(clock + 1),
             appended: AtomicUsize::new(0),
             kill_after: AtomicUsize::new(0),
+            kill_gate: Mutex::new(()),
             fault: Mutex::new(IoFaultPlan::disabled()),
             disk_faults: AtomicU64::new(0),
             append_failures: AtomicU64::new(0),
@@ -614,7 +624,8 @@ impl ResultStore {
 
     /// Arms the crash-injection hook: the process exits with
     /// [`KILL_EXIT_CODE`] immediately after the `n`-th append
-    /// (counted across all shards).
+    /// (counted across all shards). While armed, appends serialize, so
+    /// exactly `n` entries land however many threads are recording.
     pub fn set_kill_after(&self, n: usize) {
         self.kill_after.store(n, Ordering::SeqCst);
     }
@@ -775,6 +786,9 @@ impl ResultStore {
     ) -> Result<(), StoreError> {
         let shard = self.shard(&entry.key);
         let key = entry.key.clone();
+        // An armed kill hook exits while holding the gate, so no other
+        // shard's append can land after the n-th.
+        let _gate = (self.kill_after.load(Ordering::SeqCst) != 0).then(|| lock(&self.kill_gate));
         let mut g = lock(&shard.inner);
         let line = entry_line(&entry);
         g.appends += 1;
@@ -869,8 +883,9 @@ impl ResultStore {
 
 /// Scans one store file's text — a shard journal or a legacy v1
 /// store: returns the clean entries and whether a torn final line was
-/// dropped. A malformed line that is *not* final is a hard error,
-/// mirroring the checkpoint journal's contract.
+/// dropped. A malformed line that is *not* final is a hard error (the
+/// crash contract in the module docs). Never panics, whatever the
+/// bytes.
 pub fn scan_store(text: &str) -> Result<(Vec<StoreEntry>, bool), StoreError> {
     let lines: Vec<&str> = text.lines().collect();
     if lines.is_empty() {

@@ -381,7 +381,7 @@ fn pipelined_overflow_is_shed_with_typed_responses() {
     let health = c.health().expect("health");
     assert_eq!(health.get("op").and_then(Json::as_str), Some("health"));
     assert_eq!(health.get("shed").and_then(Json::as_u64), Some(shed));
-    assert_eq!(state.stats().shed(), shed);
+    assert_eq!(state.stats().shed, shed);
     c.shutdown().expect("shutdown");
     handle.join().expect("join").expect("clean exit");
     std::fs::remove_dir_all(&dir).ok();

@@ -5,10 +5,10 @@
 //!   layer with an instrumented compute, and at the server layer with
 //!   threaded connections sharing one [`ServeState`].
 //! * Crash recovery: a server killed mid-study by the
-//!   `SERVE_KILL_AFTER_RECORDS` hook (the serving twin of
-//!   `STUDY_KILL_AFTER_RECORDS`) restarts over a valid store; a torn
-//!   final entry is dropped and healed exactly like the checkpoint
-//!   journal's, and the surviving prefix serves as cache hits —
+//!   `SERVE_KILL_AFTER_RECORDS` hook (the same lever `paper_run
+//!   --cache` resumes from) restarts over a valid store; a torn final
+//!   entry is dropped and healed per shard (the store's crash
+//!   contract), and the surviving prefix serves as cache hits —
 //!   byte-identical, across the process boundary, to a fresh run.
 
 use std::io::Write as _;
@@ -240,8 +240,8 @@ fn killed_server_restarts_with_a_valid_store_and_serves_the_prefix() {
 
     // Phase 2: tear the final entry of a shard that holds one, as a
     // kill landing mid-write(2) would. The restarted server must drop
-    // and heal exactly that line — the checkpoint journal's recovery
-    // contract, per shard.
+    // and heal exactly that line — the store's crash contract, per
+    // shard.
     let torn_shard = shard_files(&dir)
         .into_iter()
         .find(|p| {

@@ -559,59 +559,61 @@ fn stats_gains_store_counters_only_after_the_v2_handshake() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The deprecated free-function writers must stay byte-identical to
-/// the [`Response`] enum that replaced them, for as long as they live.
+/// The v1 response shapes, pinned byte for byte: `Response::to_json`
+/// must render exactly the original v1 wire lines.
 #[test]
-#[allow(deprecated)]
-fn deprecated_writers_match_the_response_enum_byte_for_byte() {
-    use cluster_serve::protocol::{
-        error_response, pong, run_response, shutdown_ack, stats_response, CellResult,
-        ProtocolError, ServeStats,
-    };
+fn v1_responses_are_byte_identical_to_the_v1_wire() {
+    use cluster_serve::protocol::{CellResult, ProtocolError, ServeStats};
     use cluster_serve::{ErrorKind, ProtoVersion, Response};
 
     assert_eq!(
-        pong(Some(7)).to_string(),
-        Response::Pong { id: Some(7) }.to_json().to_string()
+        Response::Pong { id: Some(7) }.to_json().to_string(),
+        "{\"id\":7,\"ok\":true,\"op\":\"ping\"}"
     );
     assert_eq!(
-        shutdown_ack(None).to_string(),
-        Response::ShutdownAck { id: None }.to_json().to_string()
+        Response::ShutdownAck { id: None }.to_json().to_string(),
+        "{\"ok\":true,\"op\":\"shutdown\"}"
     );
     let err = ProtocolError::new(ErrorKind::Protocol, "nope");
     assert_eq!(
-        error_response(Some(1), &err).to_string(),
-        Response::Error {
-            id: Some(1),
-            err: err.clone()
-        }
-        .to_json()
-        .to_string()
+        Response::Error { id: Some(1), err }.to_json().to_string(),
+        "{\"id\":1,\"ok\":false,\"error\":{\"kind\":\"protocol\",\"detail\":\"nope\"}}"
     );
     let cells = vec![
         CellResult::new("inf", 2, "deadbeef", Json::obj().with("app", "lu")),
         CellResult::new("4k", 4, "feedface", Json::obj().with("app", "lu")).served_from_cache(),
     ];
     assert_eq!(
-        run_response(Some(3), "lu", &cells).to_string(),
         Response::Run {
             id: Some(3),
             app: "lu".to_string(),
             cells
         }
         .to_json()
-        .to_string()
+        .to_string(),
+        "{\"id\":3,\"ok\":true,\"op\":\"run\",\"app\":\"lu\",\"cache_hits\":1,\"sims\":1,\"cells\":[{\"cache\":\"inf\",\"cluster\":2,\"key\":\"deadbeef\",\"cache_hit\":false,\"served_by\":\"sim\",\"stats\":{\"app\":\"lu\"}},{\"cache\":\"4k\",\"cluster\":4,\"key\":\"feedface\",\"cache_hit\":true,\"served_by\":\"cache\",\"stats\":{\"app\":\"lu\"}}]}"
     );
-    let stats = ServeStats::new(5, 4, 1, 3).traces(2, 2).store(4, 999, 4);
+    let stats = ServeStats {
+        requests: 5,
+        cells_served: 4,
+        cache_hits: 1,
+        sims_run: 3,
+        trace_hits: 2,
+        trace_gens: 2,
+        store_entries: 4,
+        store_bytes: 999,
+        shards: 4,
+        ..ServeStats::default()
+    };
     assert_eq!(
-        stats_response(Some(9), &stats).to_string(),
         Response::Stats {
             id: Some(9),
             stats,
             version: ProtoVersion::V1
         }
         .to_json()
-        .to_string()
+        .to_string(),
+        "{\"id\":9,\"ok\":true,\"op\":\"stats\",\"requests\":5,\"cells_served\":4,\"cache_hits\":1,\"sims_run\":3,\"trace_hits\":2,\"trace_gens\":2,\"store_entries\":4}"
     );
 }
 

@@ -140,7 +140,7 @@ fn thirty_two_mixed_clients_soak_the_poll_loop() {
     assert!(errors.is_empty(), "soak failures:\n{}", errors.join("\n"));
 
     // Only the prewarm simulated; everything else was served warm.
-    assert_eq!(state.stats().sims_run(), 4);
+    assert_eq!(state.stats().sims_run, 4);
 
     let mut closer = ServeClient::connect(&addr).expect("connect");
     closer.shutdown().expect("shutdown");
