@@ -12,7 +12,7 @@ use std::hint::black_box;
 
 use cluster_bench::timer::bench;
 use cluster_study::apps::trace_for;
-use cluster_study::study::{run_config, StudySpec};
+use cluster_study::study::{run_cell, StudySpec};
 use cluster_study::{bank_conflict_probability, measure_latency_factors};
 use coherence::config::CacheSpec;
 use splash::ProblemSize;
@@ -46,7 +46,9 @@ fn capacity_figure_benches() {
     for app in cluster_study::apps::CAPACITY_APPS {
         let trace = trace_for(app, ProblemSize::Small, 16);
         bench(&format!("fig4_to_8_capacity_small/{app}"), 1, 10, || {
-            black_box(run_config(&trace, 4, CacheSpec::PerProcBytes(4096)))
+            black_box(
+                run_cell(&trace, 4, CacheSpec::PerProcBytes(4096), None).expect("cell replays"),
+            )
         });
     }
 }
@@ -62,7 +64,7 @@ fn table4_bench() {
 fn table5_bench() {
     let trace = trace_for("lu", ProblemSize::Small, 16);
     bench("table5_factors_small/lu", 1, 10, || {
-        black_box(measure_latency_factors(&trace))
+        black_box(measure_latency_factors(&trace).expect("lu replays"))
     });
 }
 
@@ -72,7 +74,7 @@ fn table6_7_bench() {
         let sweep = StudySpec::for_trace(&trace)
             .caches([CacheSpec::PerProcBytes(4096)])
             .run_sweep();
-        let f = measure_latency_factors(&trace);
+        let f = measure_latency_factors(&trace).expect("barnes replays");
         black_box(cluster_study::report::costed_relative_times(&sweep, &f))
     });
 }

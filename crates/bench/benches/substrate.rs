@@ -15,6 +15,7 @@ use coherence::{LatencyTable, MachineConfig, MemorySystem};
 use simcore::cache::FullLruCache;
 use simcore::ops::TraceBuilder;
 use simcore::space::AddressSpace;
+use tango::EngineOptions;
 
 fn bench_lru() {
     let mut cache = FullLruCache::new(256);
@@ -87,7 +88,9 @@ fn bench_engine() {
         lat: LatencyTable::paper(),
     };
     let s = bench("engine/replay_100k_ops", 2, 10, || {
-        black_box(tango::run(&trace, machine))
+        black_box(
+            tango::try_run_with(&trace, machine, EngineOptions::default()).expect("trace replays"),
+        )
     });
     report_throughput(&s, total_ops);
 }

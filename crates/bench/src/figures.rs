@@ -30,10 +30,13 @@ use cluster_study::report::{
     cluster_header, costed_relative_times, direction_agrees, render_costed_row, render_sweep,
     render_table5_row, shape_distance,
 };
-use cluster_study::study::{run_config, ClusterSweep, StudySpec, CLUSTER_SIZES};
+use cluster_study::study::{run_cell, ClusterSweep, StudySpec, CLUSTER_SIZES};
 use coherence::config::CacheSpec;
 use coherence::{LatencyTable, MachineConfig};
 use simcore::ops::{Op, Trace, TraceBuilder};
+use simcore::stats::RunStats;
+use simcore::Metrics;
+use tango::EngineOptions;
 
 use crate::{run_study, timed, Cli, Reporter};
 
@@ -183,6 +186,15 @@ fn cluster_columns(label: &str, width: usize) {
     );
 }
 
+/// Full replay of one figure cell. The figures replay their own traces
+/// at the paper's cluster sizes, so only a `--procs` the directory
+/// cannot hold (over 64 unclustered processors) stops a figure here.
+fn replay(trace: &Trace, per_cluster: u32, cache: CacheSpec) -> RunStats {
+    run_cell(trace, per_cluster, cache, None)
+        .expect("--procs fits the directory")
+        .0
+}
+
 /// One labelled row of `trace` at every cluster size, each cell the
 /// run's execution time as a percent of `base`, recorded as `app`.
 fn cluster_row(
@@ -195,7 +207,7 @@ fn cluster_row(
 ) {
     print!("  {label:<width$}");
     for c in CLUSTER_SIZES {
-        let rs = run_config(trace, c, cache);
+        let rs = replay(trace, c, cache);
         reporter.record_run(app, &cache.label(), c, &rs, None);
         print!(" {:>8.1}", rs.percent_total_of(base));
     }
@@ -308,13 +320,13 @@ fn table3_wsets(id: &str, cli: &Cli) {
         let mut rates = Vec::new();
         for s in SIZES {
             let spec = CacheSpec::PerProcBytes(s);
-            let rs = run_config(&trace, 1, spec);
+            let rs = replay(&trace, 1, spec);
             let r = rs.mem.read_miss_rate() * 100.0;
             rates.push(r);
             reporter.record_run(app, &spec.label(), 1, &rs, None);
             print!(" {r:>6.2}");
         }
-        let inf = run_config(&trace, 1, CacheSpec::Infinite);
+        let inf = replay(&trace, 1, CacheSpec::Infinite);
         let inf_rate = inf.mem.read_miss_rate() * 100.0;
         reporter.record_run(app, &CacheSpec::Infinite.label(), 1, &inf, None);
         print!(" {inf_rate:>6.2}");
@@ -377,7 +389,7 @@ fn table5_factors(id: &str, cli: &Cli) {
     println!("  app          1 cyc   2 cyc   3 cyc   4 cyc");
     for (app, trace) in traces(cli, &TABLE5_APPS) {
         let f = timed(&format!("{app} factors"), || {
-            measure_latency_factors(&trace)
+            measure_latency_factors(&trace).expect("--procs fits the directory")
         });
         for l in 1..=4u64 {
             reporter
@@ -409,7 +421,10 @@ fn costed_table(
     let mut reporter = Reporter::new(id, cli);
     for (app, trace) in traces(cli, apps) {
         let (sweep, factors) = timed(&format!("{app} sim"), || {
-            (sweep(&trace, cache, cli), measure_latency_factors(&trace))
+            (
+                sweep(&trace, cache, cli),
+                measure_latency_factors(&trace).expect("--procs fits the directory"),
+            )
         });
         reporter.record_sweep(app, &sweep, None);
         let rel = costed_relative_times(&sweep, &factors);
@@ -452,7 +467,7 @@ fn cluster_types(id: &str, cli: &Cli) {
             // Normalize both organizations to the *unclustered private
             // cache* machine: that is the build-nothing baseline both
             // cluster types compete against.
-            let base = run_config(&trace, 1, private).exec_time;
+            let base = replay(&trace, 1, private).exec_time;
             println!("{app} @ {}KB/processor:", bytes / 1024);
             cluster_columns("organization", 26);
             for (name, spec) in [
@@ -494,7 +509,7 @@ fn ablation_assoc(id: &str, cli: &Cli) {
         cluster_columns("assoc", 8);
         // Normalize everything to the fully-associative 1p run so the
         // interference cost is directly visible.
-        let base = run_config(&trace, 1, full).exec_time;
+        let base = replay(&trace, 1, full).exec_time;
         for (name, spec) in [
             ("1-way", ways(1)),
             ("2-way", ways(2)),
@@ -541,7 +556,9 @@ fn ablation_latency(id: &str, cli: &Cli) {
                     lat,
                 }
                 .validated();
-                tango::run(&trace, m).exec_time
+                tango::try_run_with(&trace, m, EngineOptions::default())
+                    .expect("--procs fits the directory")
+                    .exec_time
             };
             let norm = run(8) as f64 / run(1) as f64 * 100.0;
             reporter
@@ -572,7 +589,7 @@ fn ablation_line(id: &str, cli: &Cli) {
     let mut reporter = Reporter::new(id, cli);
     for stride in [1u64, 2, 4, 8] {
         let trace = strided_trace(cli.procs, stride);
-        let base = run_config(&trace, 1, CacheSpec::Infinite).exec_time;
+        let base = replay(&trace, 1, CacheSpec::Infinite).exec_time;
         let label = format!("{stride} ({} per line)", 8 / stride);
         let app = format!("stride{stride}");
         cluster_row(
@@ -622,33 +639,37 @@ fn strided_trace(n_procs: usize, stride_elems: u64) -> Trace {
 
 /// Diagnostic: per-app trace composition and miss breakdown at one
 /// configuration — a calibration tool, not a paper artifact. With
-/// `--format json` the full instrumented counter set of every app
-/// (trace composition + engine counters, via `tango::run_instrumented`)
-/// lands in the manifest's `metrics` section, prefixed by app name.
+/// `--format json` every app's trace composition (`trace_*`), machine
+/// shape and engine counters land in the manifest's `metrics` section,
+/// prefixed by app name.
 fn appstats(id: &str, cli: &Cli) {
     let mut reporter = Reporter::new(id, cli);
     for (app, trace) in traces(cli, &FIG2_APPS) {
-        let (mut reads, mut writes, mut compute, mut locks) = (0u64, 0u64, 0u64, 0u64);
+        let (mut reads, mut writes, mut compute, mut barriers, mut locks) = (0u64, 0, 0, 0, 0);
         for ops in &trace.per_proc {
             for op in ops {
                 match op.unpack() {
                     Op::Read(_) => reads += 1,
                     Op::Write(_) => writes += 1,
                     Op::Compute(c) => compute += c,
+                    Op::Barrier(_) => barriers += 1,
                     Op::Lock(_) => locks += 1,
-                    _ => {}
+                    Op::Unlock(_) => {}
                 }
             }
         }
-        let machine = MachineConfig {
-            n_procs: trace.n_procs() as u32,
-            per_cluster: 1,
-            cache: CacheSpec::Infinite,
-            lat: LatencyTable::paper(),
-        };
-        let (rs, instrumented) = tango::run_instrumented(&trace, machine);
+        let rs = replay(&trace, 1, CacheSpec::Infinite);
         reporter.record_run(app, "inf", 1, &rs, None);
-        reporter.manifest.metrics.merge_prefixed(app, &instrumented);
+        let mut counters = Metrics::new();
+        counters.counter("clusters", trace.n_procs() as u64);
+        counters.counter("per_cluster", 1);
+        counters.counter("trace_reads", reads);
+        counters.counter("trace_writes", writes);
+        counters.counter("trace_compute_cycles", compute);
+        counters.counter("trace_barriers", barriers);
+        counters.counter("trace_lock_acquires", locks);
+        counters.merge_prefixed("", &rs.metrics());
+        reporter.manifest.metrics.merge_prefixed(app, &counters);
         let m = &rs.mem;
         println!(
             "{app}: ops={} reads={reads} writes={writes} compute={compute} locks={locks}",
@@ -677,14 +698,14 @@ fn appstats(id: &str, cli: &Cli) {
 fn wscheck(id: &str, cli: &Cli) {
     let mut reporter = Reporter::new(id, cli);
     for (app, trace) in traces(cli, &FIG2_APPS) {
-        let inf_stats = run_config(&trace, 1, CacheSpec::Infinite);
+        let inf_stats = replay(&trace, 1, CacheSpec::Infinite);
         reporter.record_run(app, "inf", 1, &inf_stats, None);
         let inf = inf_stats.exec_time as f64;
         print!("{app:<10} inf=1.0 ");
         for s in [4096u64, 16384, 32768] {
             for c in CLUSTER_SIZES {
                 let spec = CacheSpec::PerProcBytes(s);
-                let rs = run_config(&trace, c, spec);
+                let rs = replay(&trace, c, spec);
                 reporter.record_run(app, &spec.label(), c, &rs, None);
                 print!("{}k/{c}p={:.2} ", s / 1024, rs.exec_time as f64 / inf);
             }

@@ -66,7 +66,7 @@ pub struct Cli {
     /// default path.
     pub emit_manifest: bool,
     /// `--retries N`: per-item deterministic retry budget for
-    /// panicking work items (default 0).
+    /// failed work items (default 0).
     pub retries: u32,
     /// `--timeout-secs X`: soft per-item timeout; items that exceed
     /// it are flagged `timeout` in the manifest, never killed.
@@ -136,7 +136,7 @@ impl Cli {
         })
     }
 
-    /// Parses an explicit argument list (without the argv[0] program
+    /// Parses an explicit argument list (without the `argv[0]` program
     /// name) for the named tool. Pure: no process exit, no stdio — a
     /// `--help` request or bad flag comes back as a [`CliError`], so
     /// every flag and every error path is unit-testable.
@@ -382,7 +382,7 @@ fn usage_text(tool: &str) -> String {
          --out            artifact path (default results/{tool}[_small].<ext>,\n\
          \u{20}                or results/<ID>[_small].<ext> with --figure)\n\
          --emit-manifest  shorthand for --format json at the default path\n\
-         --retries        re-run a panicking work item up to N times\n\
+         --retries        re-run a failed work item up to N times\n\
          \u{20}                (default 0; deterministic per-item backoff-free)\n\
          --timeout-secs   flag items slower than X seconds as `timeout`\n\
          \u{20}                in the manifest (soft: never kills the item)\n\

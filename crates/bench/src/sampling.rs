@@ -29,7 +29,7 @@
 //! a sampler is a failing test, not a quietly wrong paper figure.
 
 use cluster_study::parallel::run_items;
-use cluster_study::study::{run_config, run_config_sampled, section5_caches, CLUSTER_SIZES};
+use cluster_study::study::{run_cell, section5_caches, CLUSTER_SIZES};
 use cluster_study::write_atomic;
 use simcore::sample::{self, SampleMode, SampleSpec, SamplingStats};
 use simcore::stats::RunStats;
@@ -199,14 +199,9 @@ pub fn validate(
         }
     }
     let results = run_items(&items, jobs, |&(a, cache, cluster, mode)| {
-        let key = (a, cache.label(), cluster);
-        match mode {
-            None => (key, mode, run_config(&traces[a], cluster, cache), None),
-            Some(m) => {
-                let (stats, ss) = run_config_sampled(&traces[a], cluster, cache, &spec_for(m));
-                (key, mode, stats, Some(ss))
-            }
-        }
+        let (stats, ss) = run_cell(&traces[a], cluster, cache, mode.map(spec_for).as_ref())
+            .expect("a generated trace fits the study's machine");
+        ((a, cache.label(), cluster), mode, stats, ss)
     });
 
     let mut full: HashMap<ItemKey, RunStats> = HashMap::new();

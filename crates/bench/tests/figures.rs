@@ -59,3 +59,95 @@ fn checkpoint_and_resume_are_unknown_flags() {
         assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
     }
 }
+
+/// `appstats` counts each app's trace composition once and reports it,
+/// with the machine shape and every `RunStats` counter, as the app's
+/// metric set in the JSON manifest; the counters agree with the app's
+/// run record.
+#[test]
+fn appstats_metrics_count_trace_composition_and_match_the_run() {
+    use simcore::Json;
+    const KEYS: [&str; 30] = [
+        "clusters",
+        "per_cluster",
+        "trace_reads",
+        "trace_writes",
+        "trace_compute_cycles",
+        "trace_barriers",
+        "trace_lock_acquires",
+        "procs",
+        "exec_time_cycles",
+        "cpu_cycles",
+        "load_cycles",
+        "merge_cycles",
+        "sync_cycles",
+        "read_hits",
+        "write_hits",
+        "read_misses",
+        "write_misses",
+        "upgrade_misses",
+        "merge_stalls",
+        "lat_local_clean",
+        "lat_local_dirty_remote",
+        "lat_remote_clean",
+        "lat_remote_dirty_third",
+        "invalidations",
+        "evictions",
+        "writebacks",
+        "local_satisfied",
+        "bus_transfers",
+        "bus_invalidations",
+        "read_miss_rate",
+    ];
+    let path = std::env::temp_dir().join(format!("appstats-{}.json", std::process::id()));
+    let out = paper_run(&[
+        "--figure",
+        "appstats",
+        "--small",
+        "--procs",
+        "8",
+        "--format",
+        "json",
+        "--out",
+        path.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let doc = simcore::json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let Some(Json::Obj(metrics)) = doc.get("metrics") else {
+        panic!("manifest has a metrics object");
+    };
+    let runs = doc.get("runs").and_then(Json::as_arr).unwrap();
+    assert_eq!(runs.len(), cluster_study::apps::FIG2_APPS.len());
+    for run in runs {
+        let app = run.get("app").and_then(Json::as_str).unwrap();
+        let prefix = format!("{app}.");
+        let keys: Vec<&str> = metrics
+            .iter()
+            .filter_map(|(k, _)| k.strip_prefix(&prefix))
+            .collect();
+        assert_eq!(keys, KEYS, "{app}'s metric key set");
+        let counter = |k: &str| {
+            let key = format!("{app}.{k}");
+            let value = metrics.iter().find(|(name, _)| *name == key);
+            value.and_then(|(_, v)| v.as_u64()).expect("a counter")
+        };
+        assert_eq!(
+            counter("exec_time_cycles"),
+            run.get("exec_time_cycles").and_then(Json::as_u64).unwrap(),
+            "{app}"
+        );
+        assert_eq!(
+            (counter("clusters"), counter("per_cluster")),
+            (8, 1),
+            "{app}"
+        );
+        // Every processor reaches every barrier, the trailing one too.
+        let barriers = counter("trace_barriers");
+        assert!(
+            barriers > 0 && barriers % 8 == 0,
+            "{app}: {barriers} barriers"
+        );
+        assert!(counter("trace_reads") > 0, "{app}");
+    }
+}

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 
 use cluster_study::manifest::{Manifest, CSV_HEADER, SCHEMA};
 use cluster_study::parallel::run_items;
-use cluster_study::study::{run_config, CLUSTER_SIZES};
+use cluster_study::study::{run_cell, CLUSTER_SIZES};
 use coherence::config::CacheSpec;
 use simcore::json::{self, Json};
 use splash::ProblemSize;
@@ -26,7 +26,9 @@ fn build_manifest(jobs: usize) -> Manifest {
         .iter()
         .flat_map(|&c| CLUSTER_SIZES.iter().map(move |&n| (c, n)))
         .collect();
-    let runs = run_items(&items, jobs, |&(cache, n)| run_config(&trace, n, cache));
+    let runs = run_items(&items, jobs, |&(cache, n)| {
+        run_cell(&trace, n, cache, None).unwrap().0
+    });
     let mut m = Manifest::new("schema_test", "small", 8, jobs);
     for ((cache, n), rs) in items.iter().zip(&runs) {
         m.record_run("lu", &cache.label(), *n, rs, None);
@@ -243,12 +245,11 @@ fn emitted_json_has_every_schema_field() {
 fn sampled_run_records_validate_and_stay_out_of_stats_view() {
     use cluster_study::manifest::ServedBy;
     use cluster_study::parallel::RunStatus;
-    use cluster_study::study::run_config_sampled;
     use simcore::sample::{SampleMode, SampleSpec};
 
     let trace = cluster_study::apps::trace_for("lu", ProblemSize::Small, 8);
     let spec = SampleSpec::new(SampleMode::Periodic);
-    let (stats, ss) = run_config_sampled(&trace, 1, CacheSpec::Infinite, &spec);
+    let (stats, ss) = run_cell(&trace, 1, CacheSpec::Infinite, Some(&spec)).unwrap();
     let mut m = Manifest::new("schema_test", "small", 8, 1);
     m.record_outcome(
         "lu",
@@ -259,7 +260,7 @@ fn sampled_run_records_validate_and_stay_out_of_stats_view() {
         RunStatus::Ok,
         1,
         ServedBy::Sim,
-        Some(ss),
+        ss,
     );
     let doc = json::parse(&m.to_json().to_string()).unwrap();
     assert_eq!(validate_manifest(&doc), 1);

@@ -68,7 +68,7 @@ const EMPTY_LINE: ShadowLine = ShadowLine {
     last_write: 0,
 };
 
-/// The shadow directory: one [`ShadowLine`] per allocated cache line,
+/// The shadow directory: one `ShadowLine` per allocated cache line,
 /// dense-indexed (the address space is bump-allocated from line 1, so
 /// a `Vec` beats any hash map — the certify overhead budget is 2× the
 /// plain replay).
@@ -360,7 +360,7 @@ mod tests {
     fn observed_replay_matches_plain_replay() {
         let t = sharing_trace(4);
         let m = machine(4, 2, CacheSpec::PerProcBytes(4096));
-        let plain = tango::run(&t, m);
+        let plain = tango::try_run_with(&t, m, EngineOptions::default()).unwrap();
         let mut n = 0u64;
         let observed =
             tango::try_run_observed(&t, m, EngineOptions::default(), &mut |_| n += 1).unwrap();

@@ -45,6 +45,7 @@ use coherence::{LatencyTable, MachineConfig, Mutation};
 use simcore::witness::race_report_json;
 use simcore::{Json, Trace};
 use splash::ProblemSize;
+use tango::EngineOptions;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -322,7 +323,9 @@ fn run_certify(size: ProblemSize, procs: usize, out: Option<&str>) -> bool {
             cache: CacheSpec::PerProcBytes(4096),
             lat: LatencyTable::paper(),
         };
-        let plain = cluster_bench::timer::bench("replay", 1, 3, || tango::run(&trace, machine));
+        let plain = cluster_bench::timer::bench("replay", 1, 3, || {
+            tango::try_run_with(&trace, machine, EngineOptions::default())
+        });
         let observed = cluster_bench::timer::bench("observed", 1, 3, || {
             certify::certify_trace(&trace, machine)
         });

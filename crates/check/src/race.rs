@@ -375,7 +375,7 @@ fn simulate(
 }
 
 /// Detects races in `trace`, reporting the first race per line, up to
-/// [`MAX_RACES`] distinct lines. Empty means race-free.
+/// `MAX_RACES` distinct lines. Empty means race-free.
 pub fn detect(trace: &Trace) -> Vec<RawRace> {
     detect_streams(&trace.per_proc)
 }

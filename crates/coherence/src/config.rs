@@ -151,6 +151,9 @@ impl CacheSpec {
     }
 }
 
+/// The directory's sharer vector is one `u64`: one bit per cluster.
+const MAX_CLUSTERS: u32 = 64;
+
 /// Complete machine configuration for one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
@@ -186,9 +189,9 @@ impl MachineConfig {
     }
 
     /// Checks internal consistency, returning `self` or the typed
-    /// reason the shape is invalid. (The directory's 64-cluster limit
-    /// is a protocol-layer constraint checked by
-    /// `MemorySystem::try_new`, not here.)
+    /// reason the shape is invalid: positive sizes, a cluster size
+    /// that divides the processor count, and no more clusters than the
+    /// directory's 64-bit sharer vector can track.
     pub fn validate(self) -> Result<Self, ConfigError> {
         if self.n_procs == 0 {
             return Err(ConfigError::ZeroProcessors);
@@ -200,6 +203,12 @@ impl MachineConfig {
             return Err(ConfigError::ClusterDoesNotDivide {
                 per_cluster: self.per_cluster,
                 n_procs: self.n_procs,
+            });
+        }
+        if self.n_clusters() > MAX_CLUSTERS {
+            return Err(ConfigError::TooManyClusters {
+                clusters: self.n_clusters(),
+                max: MAX_CLUSTERS,
             });
         }
         Ok(self)
@@ -304,6 +313,24 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("must divide"));
+        let wide = MachineConfig {
+            n_procs: 128,
+            per_cluster: 1,
+            ..base
+        };
+        assert_eq!(
+            wide.validate().err(),
+            Some(ConfigError::TooManyClusters {
+                clusters: 128,
+                max: 64
+            })
+        );
+        assert!(MachineConfig {
+            per_cluster: 2,
+            ..wide
+        }
+        .validate()
+        .is_ok());
     }
 
     #[test]

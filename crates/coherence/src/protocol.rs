@@ -323,13 +323,6 @@ impl MemorySystem {
     /// or returns the typed reason the configuration is rejected.
     pub fn try_new(cfg: MachineConfig, space: &AddressSpace) -> Result<Self, ProtocolError> {
         let cfg = cfg.validate()?;
-        if cfg.n_clusters() > 64 {
-            return Err(ConfigError::TooManyClusters {
-                clusters: cfg.n_clusters(),
-                max: 64,
-            }
-            .into());
-        }
         let kind = cfg.cluster_cache_kind();
         let (private, bus_cycles) = match cfg.cache {
             crate::config::CacheSpec::PrivatePerProc { bus_cycles, .. } => (true, bus_cycles),

@@ -13,7 +13,7 @@
 use coherence::config::CacheSpec;
 use coherence::{LatencyTable, MachineConfig};
 use simcore::ops::Trace;
-use tango::EngineOptions;
+use tango::{EngineError, EngineOptions};
 
 /// Execution-time expansion per load latency: `by_latency[l-1]` is the
 /// factor at an `l`-cycle load.
@@ -34,37 +34,24 @@ impl LatencyFactors {
 /// Measures the Table 5 factors for one application trace. Uses an
 /// infinite-cache, *zero-miss-latency* unclustered machine so the
 /// measurement reflects only the instruction stream — exactly what
-/// Pixie's basic-block profile measured.
-pub fn measure_latency_factors(trace: &Trace) -> LatencyFactors {
+/// Pixie's basic-block profile measured. A trace the engine rejects is
+/// the typed [`EngineError`].
+pub fn measure_latency_factors(trace: &Trace) -> Result<LatencyFactors, EngineError> {
     let machine = MachineConfig {
         n_procs: trace.n_procs() as u32,
         per_cluster: 1,
         cache: CacheSpec::Infinite,
         lat: LatencyTable::uniform(0),
     };
+    let exec_time = |load_latency| {
+        tango::try_run_with(trace, machine, EngineOptions { load_latency }).map(|rs| rs.exec_time)
+    };
+    let base = exec_time(1)?;
     let mut by_latency = [1.0f64; 4];
-    let base = tango::run_with(
-        trace,
-        machine,
-        EngineOptions {
-            load_latency: 1,
-            ..Default::default()
-        },
-    )
-    .exec_time;
     for l in 2..=4u64 {
-        let t = tango::run_with(
-            trace,
-            machine,
-            EngineOptions {
-                load_latency: l,
-                ..Default::default()
-            },
-        )
-        .exec_time;
-        by_latency[l as usize - 1] = t as f64 / base as f64;
+        by_latency[l as usize - 1] = exec_time(l)? as f64 / base as f64;
     }
-    LatencyFactors { by_latency }
+    Ok(LatencyFactors { by_latency })
 }
 
 #[cfg(test)]
@@ -86,7 +73,7 @@ mod tests {
 
     #[test]
     fn factors_monotone_and_start_at_one() {
-        let f = measure_latency_factors(&loady_trace());
+        let f = measure_latency_factors(&loady_trace()).unwrap();
         assert_eq!(f.by_latency[0], 1.0);
         for w in f.by_latency.windows(2) {
             assert!(w[1] >= w[0], "factors must be nondecreasing: {f:?}");
@@ -99,7 +86,7 @@ mod tests {
         // With 1-in-4 dependent loads, a trace of r reads and c compute
         // can expand at most by r·(l-1)/4 cycles.
         let t = loady_trace();
-        let f = measure_latency_factors(&t);
+        let f = measure_latency_factors(&t).unwrap();
         // reads per proc = 400, compute = 1200, so base ≈ 1600; at
         // l=4 the bound is (1600 + 300)/1600.
         assert!(f.at(4) <= (1600.0 + 300.0) / 1600.0 + 0.05, "factor {f:?}");

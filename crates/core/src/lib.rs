@@ -4,7 +4,8 @@
 //!
 //! * [`study`] — run an application trace across cluster sizes
 //!   {1,2,4,8} and cache sizes {4K,16K,32K,∞} per processor (Sections
-//!   4 and 5).
+//!   4 and 5). Every cell is one [`run_cell`], full or sampled, which
+//!   returns the engine's typed error instead of panicking.
 //! * [`contention`] — the multi-banked shared-cache bank-conflict model
 //!   and the combined execution-time cost factor (Section 6, Table 4).
 //! * [`latency_factor`] — the Pixie-analogue load-latency execution-
@@ -40,6 +41,6 @@ pub use parallel::{
     ItemReport, Phase, RunPolicy, RunStatus,
 };
 pub use study::{
-    run_config, run_config_sampled, CapacitySweep, CellOutcome, ClusterSweep, GenOutcome,
-    StudyCell, StudyEvent, StudyRun, StudySpec,
+    run_cell, CapacitySweep, CellOutcome, ClusterSweep, GenOutcome, StudyCell, StudyEvent,
+    StudyRun, StudySpec,
 };

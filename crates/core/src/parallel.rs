@@ -29,6 +29,7 @@
 //! are returned in input order regardless of completion order, and a
 //! root integration test asserts `RunStats` equality per item.
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -177,8 +178,8 @@ impl Phase {
 /// rest of the matrix still completes.
 #[derive(Debug, Clone)]
 pub struct RunPolicy {
-    /// Extra attempts after a panicking first attempt (`--retries N`;
-    /// 0 = fail on first panic).
+    /// Extra attempts after a failed first attempt (`--retries N`;
+    /// 0 = fail on the first panic or returned error).
     pub retries: u32,
     /// Soft per-item timeout: an item whose final attempt ran longer
     /// is *flagged* [`RunStatus::Timeout`], never killed (simulations
@@ -259,8 +260,8 @@ pub struct ItemReport {
     pub wall: Duration,
     /// Whether the final attempt exceeded [`RunPolicy::timeout`].
     pub timed_out: bool,
-    /// Panic payload of the last attempt when every attempt failed
-    /// (`None` = the item succeeded).
+    /// The last attempt's panic payload or returned error when every
+    /// attempt failed (`None` = the item succeeded).
     pub error: Option<String>,
 }
 
@@ -305,12 +306,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Runs one work item under the policy: up to `1 + retries` attempts,
 /// each wrapped in `catch_unwind` (with fault injection applied
 /// first), returning the value of the first successful attempt plus
-/// the [`ItemReport`].
-fn attempt_item<R>(
+/// the [`ItemReport`]. An attempt fails by panicking or by returning
+/// `Err`; both are retried alike and leave their text as the error.
+fn attempt_item<R, E: std::fmt::Display>(
     policy: &RunPolicy,
     phase: Phase,
     index: usize,
-    f: impl Fn() -> R,
+    f: impl Fn() -> Result<R, E>,
 ) -> (Option<R>, ItemReport) {
     let max_attempts = policy.retries.saturating_add(1);
     // The injection key is a pure function of the item's coordinates,
@@ -332,7 +334,7 @@ fn attempt_item<R>(
         wall = t0.elapsed();
         let timed_out = policy.timeout.is_some_and(|t| wall > t);
         match outcome {
-            Ok(value) => {
+            Ok(Ok(value)) => {
                 return (
                     Some(value),
                     ItemReport {
@@ -345,6 +347,7 @@ fn attempt_item<R>(
                     },
                 );
             }
+            Ok(Err(e)) => last_error = Some(e.to_string()),
             Err(payload) => last_error = Some(panic_message(payload.as_ref())),
         }
     }
@@ -424,7 +427,8 @@ pub struct GuardedEvent<'a, O> {
 /// The fault-tolerant pipelined two-phase executor.
 ///
 /// `gen_inputs[g]` is turned into a value `T` by `gen_f`; each sim
-/// item `(g, s)` consumes the generated `T` of its `g` via `sim_f`.
+/// item `(g, s)` consumes the generated `T` of its `g` via `sim_f`,
+/// which returns its output or a typed error.
 /// Generation items and simulation items are scheduled on the *same*
 /// worker pool: a simulation becomes runnable the moment its
 /// generator finishes, so generation overlaps simulation instead of
@@ -451,7 +455,9 @@ pub struct GuardedEvent<'a, O> {
 /// * each attempt is wrapped in `std::panic::catch_unwind`, so a
 ///   panicking item is *recorded* — phase, index, attempts, payload —
 ///   instead of poisoning the worker pool;
-/// * a panicking item is retried up to `policy.retries` times
+/// * a simulation returning `Err` is recorded exactly as a panic is,
+///   with the error's `Display` text as the payload;
+/// * a failed item is retried up to `policy.retries` times
 ///   (deterministically: simulations are pure functions, so a retry
 ///   that succeeds yields the bit-identical result);
 /// * an item whose final attempt exceeds `policy.timeout` is flagged
@@ -463,7 +469,7 @@ pub struct GuardedEvent<'a, O> {
 /// — with the [`ItemReport`] and, for successful simulations, a
 /// reference to the output (the result store's record hook).
 #[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_guarded<GI, T, SI, O, GF, SF, PF>(
+pub fn run_pipeline_guarded<GI, T, SI, O, E, GF, SF, PF>(
     gen_inputs: &[GI],
     sim_items: &[(usize, SI)],
     jobs: usize,
@@ -478,8 +484,9 @@ where
     T: Send + Sync,
     SI: Sync,
     O: Send,
+    E: std::fmt::Display,
     GF: Fn(&GI) -> T + Sync,
-    SF: Fn(&T, &SI) -> O + Sync,
+    SF: Fn(&T, &SI) -> Result<O, E> + Sync,
     PF: Fn(GuardedEvent<'_, O>) + Sync,
 {
     for (i, (g, _)) in sim_items.iter().enumerate() {
@@ -590,7 +597,9 @@ where
             // 2. Generate the next ungenerated input.
             let g = gen_next.fetch_add(1, Ordering::Relaxed);
             if g < gen_inputs.len() {
-                let (val, report) = attempt_item(policy, Phase::Gen, g, || gen_f(&gen_inputs[g]));
+                let (val, report) = attempt_item(policy, Phase::Gen, g, || {
+                    Ok::<T, Infallible>(gen_f(&gen_inputs[g]))
+                });
                 let failed = val.is_none();
                 if generated[g].set(val.map(|v| (v, report.wall))).is_err() {
                     unreachable!("generator {g} claimed twice");
@@ -890,13 +899,19 @@ mod tests {
         assert!(resolve_jobs(None) >= 1);
     }
 
-    /// [`run_pipeline_guarded`] under [`RunPolicy::none`] with no-op
-    /// progress: the plain pipelined fan-out.
+    /// An infallible sim output.
+    fn ok<O>(o: O) -> Result<O, Infallible> {
+        Ok(o)
+    }
+
+    /// [`run_pipeline_guarded`] with an infallible sim and no-op
+    /// progress.
     fn pipeline<T, O>(
         gens: &[u64],
         sims: &[(usize, u64)],
         jobs: usize,
         chunk: usize,
+        policy: &RunPolicy,
         gen_f: impl Fn(&u64) -> T + Sync,
         sim_f: impl Fn(&T, &u64) -> O + Sync,
     ) -> GuardedRun<T, O>
@@ -909,9 +924,9 @@ mod tests {
             sims,
             jobs,
             chunk,
-            &RunPolicy::none(),
+            policy,
             gen_f,
-            sim_f,
+            |t, s| ok(sim_f(t, s)),
             |_| {},
         )
     }
@@ -933,9 +948,10 @@ mod tests {
         let sims: Vec<(usize, u64)> = (0..37).map(|i| (i % 5, i as u64)).collect();
         let expect_gen = vec![0, 10, 20, 30, 40];
         let expect_sims: Vec<u64> = sims.iter().map(|&(g, s)| g as u64 * 10 + s).collect();
+        let none = RunPolicy::none();
         for jobs in [1, 2, 3, 8] {
             for chunk in [1, 2, 5] {
-                let run = pipeline(&gens, &sims, jobs, chunk, |&g| g * 10, |t, &s| t + s);
+                let run = pipeline(&gens, &sims, jobs, chunk, &none, |&g| g * 10, |t, &s| t + s);
                 assert!(run.is_complete());
                 assert_eq!(values(&run.gen), expect_gen, "jobs={jobs} chunk={chunk}");
                 assert_eq!(values(&run.sims), expect_sims, "jobs={jobs} chunk={chunk}");
@@ -965,7 +981,7 @@ mod tests {
                     }
                     g
                 },
-                |t, &s| t + s,
+                |t, &s| ok(t + s),
                 |ev: GuardedEvent<'_, u64>| {
                     let event = (ev.report.phase, ev.report.index, ev.value.copied());
                     events.lock().unwrap().push(event)
@@ -994,13 +1010,14 @@ mod tests {
 
     #[test]
     fn pipeline_handles_empty_and_sim_free_inputs() {
+        let none = RunPolicy::none();
         for jobs in [1, 4] {
             let empty: GuardedRun<u64, u64> =
-                pipeline(&[], &[], jobs, 2, |_: &u64| 0, |t, _: &u64| *t);
+                pipeline(&[], &[], jobs, 2, &none, |_: &u64| 0, |t, _: &u64| *t);
             assert!(empty.gen.is_empty() && empty.sims.is_empty());
             assert!(empty.is_complete());
             // Generators with no sims still run.
-            let run = pipeline(&[1, 2, 3], &[], jobs, 2, |&g| g * 2, |t, _: &u64| *t);
+            let run = pipeline(&[1, 2, 3], &[], jobs, 2, &none, |&g| g * 2, |t, _: &u64| *t);
             assert_eq!(values(&run.gen), vec![2, 4, 6]);
         }
     }
@@ -1008,7 +1025,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "references generator")]
     fn pipeline_rejects_dangling_sim_item() {
-        let _ = pipeline(&[0], &[(1, 0)], 2, 1, |&g| g, |t, &s| t + s);
+        let none = RunPolicy::none();
+        let _ = pipeline(&[0], &[(1, 0)], 2, 1, &none, |&g| g, |t, &s| t + s);
     }
 
     /// The exact event order of a one-worker run, which is the
@@ -1035,7 +1053,7 @@ mod tests {
                     }
                     *g
                 },
-                |g, s| g + s,
+                |g, s| ok(g + s),
                 |ev: GuardedEvent<'_, u64>| {
                     events.lock().unwrap().push((
                         ev.report.phase,
@@ -1150,7 +1168,7 @@ mod tests {
         for jobs in [1, 4] {
             let gens = [10u64, 20];
             let items: Vec<(usize, u64)> = vec![(0, 1), (0, 2), (1, 3), (1, 4)];
-            let run = run_pipeline_guarded(
+            let run = pipeline(
                 &gens,
                 &items,
                 jobs,
@@ -1163,7 +1181,6 @@ mod tests {
                     }
                     g + s
                 },
-                |_| {},
             );
             assert!(!run.is_complete());
             let fails: Vec<&ItemReport> = run.failures().collect();
@@ -1192,25 +1209,18 @@ mod tests {
             let gens = [0u64, 5];
             let items: Vec<(usize, u64)> = vec![(0, 1), (0, 2), (1, 3)];
             let attempts = AtomicUsize::new(0);
-            let run = run_pipeline_guarded(
-                &gens,
-                &items,
-                jobs,
-                1,
-                &RunPolicy {
-                    retries: 1,
-                    ..RunPolicy::none()
-                },
-                |g| {
-                    if *g == 0 {
-                        attempts.fetch_add(1, Ordering::Relaxed);
-                        panic!("gen down");
-                    }
-                    *g
-                },
-                |g, s| g + s,
-                |_| {},
-            );
+            let policy = RunPolicy {
+                retries: 1,
+                ..RunPolicy::none()
+            };
+            let gen_f = |g: &u64| {
+                if *g == 0 {
+                    attempts.fetch_add(1, Ordering::Relaxed);
+                    panic!("gen down");
+                }
+                *g
+            };
+            let run = pipeline(&gens, &items, jobs, 1, &policy, gen_f, |g, s| g + s);
             assert_eq!(attempts.swap(0, Ordering::Relaxed), 2, "retried once");
             assert!(run.gen[0].is_none());
             assert_eq!(run.gen_reports[0].attempts, 2);
@@ -1233,23 +1243,15 @@ mod tests {
     fn guarded_retries_recover_injected_faults() {
         let gens = [100u64, 200, 300];
         let items: Vec<(usize, u64)> = (0..9).map(|i| (i % 3, i as u64)).collect();
-        let clean = pipeline(&gens, &items, 1, 1, |g| *g, |g, s| g * 10 + s);
+        let none = RunPolicy::none();
+        let clean = pipeline(&gens, &items, 1, 1, &none, |g| *g, |g, s| g * 10 + s);
         for jobs in [1, 4] {
             let policy = RunPolicy {
                 retries: 1,
                 timeout: None,
                 fault: FaultPlan::new(1.0, 42),
             };
-            let run = run_pipeline_guarded(
-                &gens,
-                &items,
-                jobs,
-                2,
-                &policy,
-                |g| *g,
-                |g, s| g * 10 + s,
-                |_| {},
-            );
+            let run = pipeline(&gens, &items, jobs, 2, &policy, |g| *g, |g, s| g * 10 + s);
             assert!(run.is_complete());
             assert_eq!(
                 values(&run.sims),
@@ -1291,7 +1293,7 @@ mod tests {
             .collect();
         // One retry is below the fault depth of 2: still fails.
         policy.retries = 1;
-        let run = run_pipeline_guarded(&gens, &items, 2, 1, &policy, |g| *g, |g, s| g + s, |_| {});
+        let run = pipeline(&gens, &items, 2, 1, &policy, |g| *g, |g, s| g + s);
         let failed: Vec<usize> = run
             .sim_reports
             .iter()
@@ -1306,7 +1308,7 @@ mod tests {
         }
         // Matching the depth recovers everything.
         policy.retries = 2;
-        let run = run_pipeline_guarded(&gens, &items, 2, 1, &policy, |g| *g, |g, s| g + s, |_| {});
+        let run = pipeline(&gens, &items, 2, 1, &policy, |g| *g, |g, s| g + s);
         assert!(run.is_complete());
     }
 
@@ -1321,12 +1323,56 @@ mod tests {
             timeout: Some(Duration::ZERO),
             fault: FaultPlan::disabled(),
         };
-        let run = run_pipeline_guarded(&gens, &items, 1, 1, &policy, |g| *g, |g, s| g + s, |_| {});
+        let run = pipeline(&gens, &items, 1, 1, &policy, |g| *g, |g, s| g + s);
         assert!(run.is_complete(), "timeouts never kill items");
         for rep in run.gen_reports.iter().chain(run.sim_reports.iter()) {
             assert!(rep.timed_out);
             assert_eq!(rep.status(), Some(RunStatus::Timeout));
         }
         assert_eq!(run.sims[0].as_ref().map(|(o, _)| *o), Some(3));
+    }
+
+    /// A sim returning `Err` settles exactly as a panicking one does:
+    /// retried `policy.retries` times, then recorded with the error's
+    /// text; one that errs once and then succeeds reads `retried`.
+    #[test]
+    fn guarded_records_returned_errors_like_panics() {
+        for jobs in [1, 3] {
+            let calls = [AtomicUsize::new(0), AtomicUsize::new(0)];
+            let policy = RunPolicy {
+                retries: 2,
+                ..RunPolicy::none()
+            };
+            let items: Vec<(usize, u64)> = vec![(0, 0), (0, 1), (0, 2)];
+            let run = run_pipeline_guarded(
+                &[10u64],
+                &items,
+                jobs,
+                1,
+                &policy,
+                |g| *g,
+                |g, &s| match s {
+                    0 => Err(format!("bad cell {s}")).inspect_err(|_| {
+                        calls[0].fetch_add(1, Ordering::Relaxed);
+                    }),
+                    1 if calls[1].fetch_add(1, Ordering::Relaxed) == 0 => {
+                        Err("transient".to_string())
+                    }
+                    _ => Ok(g + s),
+                },
+                |_| {},
+            );
+            assert_eq!(calls[0].load(Ordering::Relaxed), 3, "1 + retries attempts");
+            let failed = &run.sim_reports[0];
+            assert_eq!(failed.attempts, 3);
+            assert_eq!(failed.error.as_deref(), Some("bad cell 0"));
+            assert_eq!(failed.status(), None);
+            assert!(run.sims[0].is_none());
+            assert_eq!(run.sim_reports[1].attempts, 2);
+            assert_eq!(run.sim_reports[1].status(), Some(RunStatus::Retried));
+            assert_eq!(values(&run.sims[1..]), vec![11, 12]);
+            assert_eq!(run.sim_reports[2].status(), Some(RunStatus::Ok));
+            assert_eq!(run.failures().count(), 1);
+        }
     }
 }

@@ -28,10 +28,12 @@
 //! that consume the traces, so generation overlaps simulation, and
 //! results are bit-identical across any `jobs` value.
 //!
-//! Fault tolerance: a [`crate::parallel::RunPolicy`] (panic
-//! isolation, bounded retries, soft timeouts — see
-//! [`StudySpec::policy`]) turns a crashing work item into a recorded
-//! [`StudyCell`] failure instead of a lost study. A durable cell log
+//! Every cell is one [`run_cell`] call, which returns the replay's
+//! typed error instead of panicking. Fault tolerance: a
+//! [`crate::parallel::RunPolicy`] (panic isolation, bounded retries,
+//! soft timeouts — see [`StudySpec::policy`]) turns a failing work
+//! item — a returned error or a panic — into a recorded [`StudyCell`]
+//! failure instead of a lost study. A durable cell log
 //! ([`StudySpec::cache_prefill`] / [`StudySpec::on_complete`], backed by
 //! the `cluster_serve` result store) makes an interrupted study
 //! resumable, re-executing only the cells the log does not already
@@ -46,6 +48,7 @@ use simcore::ops::Trace;
 use simcore::sample::{SamplePlan, SampleSpec, SamplingStats};
 use simcore::stats::RunStats;
 use splash::ProblemSize;
+use tango::{EngineError, EngineOptions};
 
 use crate::checkpoint::JournalEntry;
 use crate::manifest::RunError;
@@ -66,41 +69,42 @@ pub fn section5_caches() -> Vec<CacheSpec> {
         .collect()
 }
 
-/// Replays `trace` on a 64-processor machine (or however many
-/// processors the trace has) with the given cluster size and cache
-/// specification.
-pub fn run_config(trace: &Trace, per_cluster: u32, cache: CacheSpec) -> RunStats {
-    let machine = MachineConfig {
-        n_procs: trace.n_procs() as u32,
-        per_cluster,
-        cache,
-        lat: LatencyTable::paper(),
-    };
-    tango::run(trace, machine)
-}
-
-/// Like [`run_config`], but replays only the intervals a
-/// [`SampleSpec`] selects (warmup windows touch the caches without
-/// being counted), returning both the measured stats and the sampling
-/// provenance. The plan depends only on `(trace, spec)` — never on
-/// the machine — so every cell of a sweep measures the *same*
-/// intervals and speedup ratios stay comparable across cluster sizes.
-pub fn run_config_sampled(
+/// Replays one cell of the study: `trace` on a machine of
+/// `trace.n_procs()` processors with the paper's Table 1 latencies,
+/// `per_cluster` processors per cluster and `cache` per processor.
+///
+/// With a [`SampleSpec`] only the intervals it selects are measured
+/// (warmup windows touch the caches without being counted), and the
+/// sampling provenance comes back alongside the stats. The plan
+/// depends only on `(trace, spec)` — never on the machine — so every
+/// cell of a sweep measures the *same* intervals and speedup ratios
+/// stay comparable across cluster sizes.
+///
+/// A shape the machine cannot take (a cluster size that does not
+/// divide the processor count, more clusters than the directory
+/// tracks) or a malformed trace is the typed [`EngineError`].
+pub fn run_cell(
     trace: &Trace,
     per_cluster: u32,
     cache: CacheSpec,
-    spec: &SampleSpec,
-) -> (RunStats, SamplingStats) {
+    sampling: Option<&SampleSpec>,
+) -> Result<(RunStats, Option<SamplingStats>), EngineError> {
     let machine = MachineConfig {
         n_procs: trace.n_procs() as u32,
         per_cluster,
         cache,
         lat: LatencyTable::paper(),
     };
-    let plan = SamplePlan::for_trace(trace, spec);
-    let run = tango::run_sampled(trace, machine, &plan);
-    let sampling = plan.stats().with_warm(&run.warm_mem, &run.warm_bd);
-    (run.stats, sampling)
+    let opts = EngineOptions::default();
+    match sampling {
+        None => Ok((tango::try_run_with(trace, machine, opts)?, None)),
+        Some(spec) => {
+            let plan = SamplePlan::for_trace(trace, spec);
+            let run = tango::try_run_sampled(trace, machine, opts, &plan)?;
+            let provenance = plan.stats().with_warm(&run.warm_mem, &run.warm_bd);
+            Ok((run.stats, Some(provenance)))
+        }
+    }
 }
 
 /// Results of one cache size across all cluster sizes.
@@ -205,7 +209,7 @@ pub enum StudyEvent<'a> {
         cluster: u32,
         /// Attempts made (0 = skipped).
         attempts: u32,
-        /// The failure (usually a panic payload).
+        /// The failure: the replay's typed error or a panic payload.
         error: &'a str,
     },
 }
@@ -241,7 +245,7 @@ pub enum CellOutcome {
     /// Failed permanently; `attempts == 0` means it was skipped
     /// because its trace's generation failed.
     Failed {
-        /// The failure (usually a panic payload).
+        /// The failure: the replay's typed error or a panic payload.
         error: String,
         /// Attempts made.
         attempts: u32,
@@ -584,7 +588,7 @@ impl<'a> StudySpec<'a> {
     }
 
     /// Runs every simulation sampled under `spec` instead of
-    /// full-trace (see [`run_config_sampled`]). Prefill entries only
+    /// full-trace (see [`run_cell`]). Prefill entries only
     /// match a cell when their recorded sampling spec equals this one,
     /// so sampled and full results never substitute for each other on
     /// resume.
@@ -790,12 +794,9 @@ impl<'a> StudySpec<'a> {
             self.sizes.len(),
             &self.policy,
             |gi: &&GI| gen_f(gi),
-            |t, &(cache, c)| match &self.sampling {
-                Some(spec) => {
-                    let (stats, ss) = run_config_sampled(as_trace(t), c, cache, spec);
-                    (c, stats, Some(ss))
-                }
-                None => (c, run_config(as_trace(t), c, cache), None),
+            |t, &(cache, c)| {
+                run_cell(as_trace(t), c, cache, self.sampling.as_ref())
+                    .map(|(stats, sampling)| (c, stats, sampling))
             },
             report,
         );

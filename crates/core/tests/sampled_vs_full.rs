@@ -9,11 +9,12 @@ use std::time::Duration;
 
 use cluster_study::checkpoint::JournalEntry;
 use cluster_study::parallel::RunStatus;
-use cluster_study::study::{run_config, run_config_sampled, CellOutcome, StudySpec};
+use cluster_study::study::{run_cell, CellOutcome, StudySpec};
 use coherence::config::CacheSpec;
 use simcore::ops::Op;
 use simcore::sample::{self, OpClass, SampleMode, SamplePlan, SampleSpec, SamplingStats};
 use splash::ProblemSize;
+use tango::EngineOptions;
 
 /// Runs one single-app sampled study and returns each cell's
 /// `(cluster, stats, sampling)` in matrix order.
@@ -62,10 +63,12 @@ fn sampled_estimates_stay_inside_declared_bounds_on_small_cells() {
     ];
     for (app, cache, cluster) in cells {
         let trace = cluster_study::apps::trace_for(app, ProblemSize::Small, 8);
-        let full = run_config(&trace, cluster, cache);
+        let full = run_cell(&trace, cluster, cache, None).unwrap().0;
         for mode in SampleMode::ALL {
             let spec = SampleSpec::new(mode);
-            let (sampled, ss) = run_config_sampled(&trace, cluster, cache, &spec);
+            let (sampled, Some(ss)) = run_cell(&trace, cluster, cache, Some(&spec)).unwrap() else {
+                panic!("a sampled cell carries its provenance");
+            };
             let miss_err = sample::rel_err(
                 ss.estimated_read_miss_rate(&sampled.mem),
                 full.mem.read_miss_rate(),
@@ -120,7 +123,7 @@ fn warmup_ops_touch_caches_but_never_count_in_stats() {
         cache: CacheSpec::PerProcBytes(4096),
         lat: coherence::LatencyTable::paper(),
     };
-    let rs = tango::run_sampled(&trace, machine, &plan);
+    let rs = tango::try_run_sampled(&trace, machine, EngineOptions::default(), &plan).unwrap();
     // Every measured access lands in exactly one of these counters
     // (a write to a locally-shared line counts as an upgrade miss).
     let counted = |m: &simcore::stats::MissStats| {
@@ -142,7 +145,8 @@ fn warmup_ops_touch_caches_but_never_count_in_stats() {
     // replay under it inflates the counters — proof the engine really
     // replays warm ops and that only classification keeps them out.
     let buggy = plan.clone().with_warm_counted();
-    let rs_buggy = tango::run_sampled(&trace, machine, &buggy);
+    let rs_buggy =
+        tango::try_run_sampled(&trace, machine, EngineOptions::default(), &buggy).unwrap();
     assert!(
         counted(&rs_buggy.stats.mem) > measured,
         "warm-counting plan must inflate the access counters"
@@ -152,7 +156,9 @@ fn warmup_ops_touch_caches_but_never_count_in_stats() {
 /// A result-cache entry for one lu cell, recorded under `sampling`.
 fn entry(cluster: u32, sampling: Option<SamplingStats>) -> JournalEntry {
     let trace = cluster_study::apps::trace_for("lu", ProblemSize::Small, 8);
-    let stats = run_config(&trace, cluster, CacheSpec::PerProcBytes(4096));
+    let stats = run_cell(&trace, cluster, CacheSpec::PerProcBytes(4096), None)
+        .unwrap()
+        .0;
     JournalEntry {
         app: "lu".to_string(),
         cache: CacheSpec::PerProcBytes(4096).label(),

@@ -1,7 +1,7 @@
 //! A production-grade typed client for the serve protocol over TCP.
 //!
 //! Speaks v1 out of the box and upgrades to
-//! [`PROTOCOL_SCHEMA_V2`](crate::protocol::PROTOCOL_SCHEMA_V2) via
+//! [`PROTOCOL_SCHEMA_V2`] via
 //! [`ServeClient::hello_v2`]. Every request carries a fresh `id` and
 //! the response's echo is checked, so a desynced stream surfaces as a
 //! typed [`ClientError`] instead of silently mismatched data.

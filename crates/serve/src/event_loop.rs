@@ -10,7 +10,7 @@
 //!
 //! Backpressure is explicit in both directions. A worker that
 //! produces faster than the peer drains (a `cursor` against a warm
-//! store) blocks in [`Outbox::push`] once the connection's outbox
+//! store) blocks in `Outbox::push` once the connection's outbox
 //! passes its high-watermark; the loop thread never blocks — it
 //! simply stops reading from (and parsing for) connections whose
 //! outbox is above the watermark, which in turn stalls the peer's

@@ -26,6 +26,7 @@
 use std::io::{BufRead, Write};
 
 use coherence::config::CacheSpec;
+use coherence::{LatencyTable, MachineConfig};
 use simcore::Json;
 use splash::ProblemSize;
 
@@ -291,6 +292,18 @@ fn parse_spec(j: &Json) -> Result<JobSpec, ProtocolError> {
         }
         None => cluster_study::study::section5_caches(),
     };
+    // Every cluster size must give a machine the replay can take: one
+    // that tiles the processors with no more clusters than the
+    // directory's sharer vector holds.
+    let machine = |per_cluster: u32| {
+        MachineConfig {
+            n_procs: procs as u32,
+            per_cluster,
+            cache: CacheSpec::Infinite,
+            lat: LatencyTable::paper(),
+        }
+        .validate()
+    };
     let clusters = match j.get("clusters") {
         Some(v) => {
             let xs = v
@@ -307,20 +320,21 @@ fn parse_spec(j: &Json) -> Result<JobSpec, ProtocolError> {
                 if c == 0 || c > MAX_PROCS as u64 {
                     return Err(bad(format!("cluster sizes must be 1..={MAX_PROCS}")));
                 }
-                // The engine requires clusters to tile the machine; an
-                // unvalidated size would panic a worker thread.
-                if !(procs as u64).is_multiple_of(c) {
-                    return Err(bad(format!("cluster size {c} must divide procs ({procs})")));
-                }
+                machine(c as u32).map_err(|e| bad(e.to_string()))?;
                 out.push(c as u32);
             }
             out
         }
-        None => cluster_study::study::CLUSTER_SIZES
-            .iter()
-            .copied()
-            .filter(|&c| procs % c as usize == 0)
-            .collect(),
+        None => {
+            let sizes = cluster_study::study::CLUSTER_SIZES;
+            let out: Vec<u32> = sizes.into_iter().filter(|&c| machine(c).is_ok()).collect();
+            if out.is_empty() {
+                return Err(bad(format!(
+                    "no cluster size in {sizes:?} fits {procs} procs"
+                )));
+            }
+            out
+        }
     };
     Ok(JobSpec {
         app,

@@ -26,7 +26,7 @@ use std::time::Instant;
 use cluster_study::checkpoint::JournalEntry;
 use cluster_study::manifest::{RunRecord, ServedBy};
 use cluster_study::parallel::{run_items, run_items_streamed, RunStatus};
-use cluster_study::run_config;
+use cluster_study::run_cell;
 use coherence::config::CacheSpec;
 use simcore::fault::IoFaultPlan;
 use simcore::ops::Trace;
@@ -422,7 +422,12 @@ impl ServeState {
         self.store
             .serve_cell(&key, size, spec.procs, || {
                 let start = Instant::now();
-                let stats = run_config(trace, cluster, cache);
+                let (stats, _) = run_cell(trace, cluster, cache, None)
+                    // cluster_check: allow(no-panic) — parse_spec admits
+                    // only (procs, cluster) shapes MachineConfig::validate
+                    // accepts, and the trace store builds each trace for
+                    // exactly spec.procs, so this replay cannot be rejected.
+                    .expect("a parsed spec fits its machine");
                 JournalEntry {
                     app: spec.app.clone(),
                     cache: label.clone(),

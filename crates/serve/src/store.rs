@@ -1066,7 +1066,7 @@ impl TraceStore {
 mod tests {
     use super::*;
     use cluster_study::parallel::RunStatus;
-    use cluster_study::run_config;
+    use cluster_study::run_cell;
     use coherence::config::CacheSpec;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -1079,7 +1079,9 @@ mod tests {
         let trace = splash::by_name(app, ProblemSize::Small)
             .expect("known app")
             .generate(8);
-        let stats = run_config(&trace, cluster, CacheSpec::Infinite);
+        let stats = run_cell(&trace, cluster, CacheSpec::Infinite, None)
+            .unwrap()
+            .0;
         JournalEntry {
             app: app.to_string(),
             cache: CacheSpec::Infinite.label(),

@@ -18,7 +18,7 @@ use cluster_serve::{serve_connection, ServeOptions, ServeState};
 use cluster_study::checkpoint::JournalEntry;
 use cluster_study::manifest::{RunRecord, ServedBy};
 use cluster_study::parallel::RunStatus;
-use cluster_study::run_config;
+use cluster_study::run_cell;
 use coherence::config::CacheSpec;
 use simcore::propcheck::{self, drop_each, halves_and_each, shrink_to_minimal, shrink_u64, Gen};
 use simcore::{prop_ensure, prop_ensure_eq, Json};
@@ -137,7 +137,7 @@ fn shrink_case(c: &SpecCase) -> Vec<SpecCase> {
 /// manifest for this cell — the reference the serve path must match
 /// byte for byte.
 fn direct_stats(app: &str, trace: &simcore::ops::Trace, cache: CacheSpec, cluster: u32) -> String {
-    let stats = run_config(trace, cluster, cache);
+    let stats = run_cell(trace, cluster, cache, None).unwrap().0;
     let rec = RunRecord {
         app: app.to_string(),
         cache: cache.label(),
@@ -330,7 +330,7 @@ fn marker_entry(cluster: u32) -> JournalEntry {
         app: "lu".to_string(),
         cache: "inf".to_string(),
         cluster,
-        stats: run_config(&trace, 1, CacheSpec::Infinite),
+        stats: run_cell(&trace, 1, CacheSpec::Infinite, None).unwrap().0,
         wall: None,
         status: RunStatus::Ok,
         attempts: 1,

@@ -30,7 +30,7 @@ use cluster_serve::{
 };
 use cluster_study::checkpoint::JournalEntry;
 use cluster_study::parallel::RunStatus;
-use cluster_study::run_config;
+use cluster_study::run_cell;
 use coherence::config::CacheSpec;
 use simcore::fault::{DiskFaultKind, IoFaultPlan};
 use simcore::propcheck::{self, Gen};
@@ -497,7 +497,9 @@ fn sample_entry(app: &str, cluster: u32) -> JournalEntry {
     let trace = splash::by_name(app, ProblemSize::Small)
         .expect("known app")
         .generate(8);
-    let stats = run_config(&trace, cluster, CacheSpec::Infinite);
+    let stats = run_cell(&trace, cluster, CacheSpec::Infinite, None)
+        .unwrap()
+        .0;
     JournalEntry {
         app: app.to_string(),
         cache: CacheSpec::Infinite.label(),

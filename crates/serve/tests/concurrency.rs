@@ -21,7 +21,7 @@ use cluster_serve::store::{cell_key, ResultStore};
 use cluster_serve::{scan_store_dir, serve_connection, ServeOptions, ServeState, KILL_EXIT_CODE};
 use cluster_study::checkpoint::JournalEntry;
 use cluster_study::parallel::RunStatus;
-use cluster_study::run_config;
+use cluster_study::run_cell;
 use coherence::config::CacheSpec;
 use simcore::Json;
 use splash::ProblemSize;
@@ -67,7 +67,9 @@ fn sample_cell(cluster: u32) -> JournalEntry {
         app: "lu".to_string(),
         cache: "inf".to_string(),
         cluster,
-        stats: run_config(&trace, cluster, CacheSpec::Infinite),
+        stats: run_cell(&trace, cluster, CacheSpec::Infinite, None)
+            .unwrap()
+            .0,
         wall: None,
         status: RunStatus::Ok,
         attempts: 1,

@@ -145,6 +145,17 @@ fn unknown_fields_and_bad_values_are_protocol_errors() {
             "{\"op\":\"run\",\"spec\":{\"app\":\"lu\",\"procs\":8,\"clusters\":[3]}}",
             "divide",
         ),
+        // more clusters than the directory's 64-bit sharer vector
+        // holds — unvalidated, this would panic the replay
+        (
+            "{\"op\":\"run\",\"spec\":{\"app\":\"lu\",\"size\":\"small\",\"procs\":128,\"caches\":[\"inf\"],\"clusters\":[1]}}",
+            "exceed the directory bit vector's 64",
+        ),
+        // no default cluster size gives 127 procs a legal machine
+        (
+            "{\"op\":\"run\",\"spec\":{\"app\":\"lu\",\"procs\":127}}",
+            "fits 127 procs",
+        ),
         // spec on a spec-less op
         ("{\"op\":\"ping\",\"spec\":{}}", "spec"),
         // non-object request

@@ -26,7 +26,7 @@ pub enum EngineError {
         /// Processors in the machine configuration.
         machine: u32,
     },
-    /// An [`EngineOptions`] field the replay needs is zero.
+    /// [`EngineOptions::load_latency`] is zero.
     InvalidOptions {
         /// Name of the offending field.
         field: &'static str,
@@ -108,55 +108,32 @@ pub struct EngineOptions {
     /// Effective load latency in cycles for the Pixie-analogue
     /// measurements of Table 5. The default of 1 reproduces the paper's
     /// simulation proper (single-cycle hits). Values 2–4 charge
-    /// `load_latency - 1` extra cycles on *dependent* loads.
+    /// `load_latency - 1` extra cycles on *dependent* loads: one
+    /// explicit read in every `DEPENDENT_LOAD_PERIOD` (4) and one
+    /// implicit load per `IMPLICIT_LOAD_PERIOD` (18) compute cycles.
     pub load_latency: u64,
-    /// One explicit load in every `dependent_load_period` is treated as
-    /// having its destination register consumed before the pipeline can
-    /// hide extra latency ("the processor will not stall on a load
-    /// instruction until the register destination of the load is
-    /// used"). The default of 4 models a compiler that hides ~75% of
-    /// the added latency.
-    pub dependent_load_period: u64,
-    /// `Compute(k)` blocks stand for dense loops whose element loads
-    /// were coalesced at trace generation (see DESIGN.md); for the
-    /// Pixie-analogue factor measurements they must still feel the
-    /// longer load latency. One *dependent* implicit load is assumed
-    /// per this many compute cycles (≈25% load density with 1-in-4
-    /// unhideable), which puts the measured Table 5 factors in the
-    /// paper's band.
-    pub implicit_load_period: u64,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        EngineOptions {
-            load_latency: 1,
-            dependent_load_period: 4,
-            implicit_load_period: 18,
-        }
+        EngineOptions { load_latency: 1 }
     }
 }
 
-impl EngineOptions {
-    /// Rejects a zero latency, and a zero period the replay would
-    /// divide by (the implicit-load period only matters once loads
-    /// cost extra).
-    fn check(&self) -> Result<(), EngineError> {
-        let zero = if self.load_latency == 0 {
-            Some("load_latency")
-        } else if self.dependent_load_period == 0 {
-            Some("dependent_load_period")
-        } else if self.load_latency > 1 && self.implicit_load_period == 0 {
-            Some("implicit_load_period")
-        } else {
-            None
-        };
-        match zero {
-            Some(field) => Err(EngineError::InvalidOptions { field }),
-            None => Ok(()),
-        }
-    }
-}
+/// One explicit load in every this many is treated as having its
+/// destination register consumed before the pipeline can hide extra
+/// latency ("the processor will not stall on a load instruction until
+/// the register destination of the load is used"): a compiler that
+/// hides ~75% of the added latency.
+const DEPENDENT_LOAD_PERIOD: u64 = 4;
+
+/// `Compute(k)` blocks stand for dense loops whose element loads were
+/// coalesced at trace generation (see DESIGN.md); for the
+/// Pixie-analogue factor measurements they must still feel the longer
+/// load latency. One *dependent* implicit load is assumed per this many
+/// compute cycles (≈25% load density with 1-in-4 unhideable), which
+/// puts the measured Table 5 factors in the paper's band.
+const IMPLICIT_LOAD_PERIOD: u64 = 18;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProcStatus {
@@ -189,54 +166,6 @@ struct LockState {
     queue: VecDeque<u32>,
 }
 
-/// Replays `trace` on the machine described by `machine` with default
-/// options, returning the run statistics.
-pub fn run(trace: &Trace, machine: MachineConfig) -> RunStats {
-    run_with(trace, machine, EngineOptions::default())
-}
-
-/// [`run`] plus the canonical named-metrics view of the replay, for
-/// the machine-readable results layer: the trace's op composition
-/// (what the engine replayed), the machine shape, and every
-/// `RunStats` counter. Deterministic — identical inputs produce a
-/// bit-identical registry, so manifests built from it diff cleanly.
-pub fn run_instrumented(trace: &Trace, machine: MachineConfig) -> (RunStats, simcore::Metrics) {
-    let rs = run(trace, machine);
-    let mut m = simcore::Metrics::new();
-    m.counter("clusters", machine.n_clusters() as u64);
-    m.counter("per_cluster", machine.per_cluster as u64);
-    let (mut reads, mut writes, mut compute, mut barriers, mut locks) = (0u64, 0, 0, 0, 0);
-    for ops in &trace.per_proc {
-        for op in ops {
-            match op.unpack() {
-                Op::Read(_) => reads += 1,
-                Op::Write(_) => writes += 1,
-                Op::Compute(c) => compute += c,
-                Op::Barrier(_) => barriers += 1,
-                Op::Lock(_) => locks += 1,
-                Op::Unlock(_) => {}
-            }
-        }
-    }
-    m.counter("trace_reads", reads);
-    m.counter("trace_writes", writes);
-    m.counter("trace_compute_cycles", compute);
-    m.counter("trace_barriers", barriers);
-    m.counter("trace_lock_acquires", locks);
-    m.merge_prefixed("", &rs.metrics());
-    (rs, m)
-}
-
-/// Replays `trace` with explicit [`EngineOptions`], panicking on a
-/// malformed input. The study and bench drivers replay traces they
-/// generated themselves, so a mismatch is a caller bug; code replaying
-/// untrusted traces should use [`try_run_with`].
-pub fn run_with(trace: &Trace, machine: MachineConfig, opts: EngineOptions) -> RunStats {
-    // cluster_check: allow(no-panic) — documented panicking convenience
-    // wrapper over the typed try_run_with.
-    try_run_with(trace, machine, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Result of a sampled replay: the measured statistics plus the warm
 /// replay's functional memory outcomes, which feed the estimate side
 /// of the results layer and never the deterministic stats view.
@@ -254,19 +183,8 @@ pub struct SampledRun {
     pub warm_bd: Breakdown,
 }
 
-/// Sampled replay with default options, panicking on a malformed
-/// input (same contract as [`run`]); see [`try_run_sampled`].
-pub fn run_sampled(trace: &Trace, machine: MachineConfig, plan: &SamplePlan) -> SampledRun {
-    match try_run_sampled(trace, machine, EngineOptions::default(), plan) {
-        Ok(rs) => rs,
-        // cluster_check: allow(no-panic) — documented panicking
-        // convenience wrapper over the typed try_run_sampled.
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Replays `trace` with explicit [`EngineOptions`], propagating the
-/// typed reason when the trace does not fit the machine.
+/// Full replay of `trace` on `machine`: the run statistics, or the
+/// typed reason the trace does not fit the machine.
 pub fn try_run_with(
     trace: &Trace,
     machine: MachineConfig,
@@ -348,7 +266,11 @@ fn replay(
             machine: machine.n_procs,
         });
     }
-    opts.check()?;
+    if opts.load_latency == 0 {
+        return Err(EngineError::InvalidOptions {
+            field: "load_latency",
+        });
+    }
 
     let mut mem = MemorySystem::try_new(machine, &trace.space)?;
     let mut procs: Vec<ProcState> = (0..n)
@@ -424,7 +346,7 @@ fn replay(
                     if extra_load > 0 {
                         // Dependent implicit loads inside the coalesced
                         // dense loop feel the longer latency.
-                        let stall = c / opts.implicit_load_period * extra_load;
+                        let stall = c / IMPLICIT_LOAD_PERIOD * extra_load;
                         p.bd.load += stall;
                         p.clock += stall;
                     }
@@ -481,9 +403,7 @@ fn replay(
                     p.idx += 1;
                     if measure && is_read {
                         p.reads_issued += 1;
-                        if extra_load > 0
-                            && p.reads_issued.is_multiple_of(opts.dependent_load_period)
-                        {
+                        if extra_load > 0 && p.reads_issued.is_multiple_of(DEPENDENT_LOAD_PERIOD) {
                             p.bd.load += extra_load;
                             p.clock += extra_load;
                         }
@@ -611,6 +531,14 @@ mod tests {
     use coherence::config::CacheSpec;
     use simcore::ops::{PackedOp, TraceBuilder};
 
+    fn full_run(t: &Trace, m: MachineConfig) -> RunStats {
+        try_run_with(t, m, EngineOptions::default()).expect("fixture replays")
+    }
+
+    fn sampled_run(t: &Trace, m: MachineConfig, plan: &SamplePlan) -> SampledRun {
+        try_run_sampled(t, m, EngineOptions::default(), plan).expect("fixture replays")
+    }
+
     fn cfg(n_procs: u32, per_cluster: u32) -> MachineConfig {
         MachineConfig {
             n_procs,
@@ -629,7 +557,7 @@ mod tests {
         b.read(0, a); // hit
         b.write(0, a); // upgrade, free
         let t = b.finish();
-        let rs = run(&t, cfg(1, 1));
+        let rs = full_run(&t, cfg(1, 1));
         let bd = rs.per_proc[0];
         // cpu: 10 compute + 2 reads + 1 write + 1 barrier = 14
         assert_eq!(bd.cpu, 14);
@@ -640,45 +568,13 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_run_matches_plain_run_and_counts_ops() {
-        use simcore::metrics::MetricValue;
-        let mut b = TraceBuilder::new(2);
-        let a = b.space_mut().alloc_shared(64);
-        b.compute(0, 10);
-        b.read(0, a);
-        b.write(0, a);
-        b.compute(1, 4);
-        b.read(1, a);
-        b.barrier_all();
-        let t = b.finish();
-        let (rs, m) = run_instrumented(&t, cfg(2, 2));
-        assert_eq!(rs, run(&t, cfg(2, 2)), "instrumentation changed the run");
-        assert_eq!(m.get("trace_reads"), Some(MetricValue::Counter(2)));
-        assert_eq!(m.get("trace_writes"), Some(MetricValue::Counter(1)));
-        assert_eq!(
-            m.get("trace_compute_cycles"),
-            Some(MetricValue::Counter(14))
-        );
-        // barrier_all + the implicit trailing barrier, on both procs.
-        assert_eq!(m.get("trace_barriers"), Some(MetricValue::Counter(4)));
-        assert_eq!(m.get("clusters"), Some(MetricValue::Counter(1)));
-        assert_eq!(
-            m.get("exec_time_cycles"),
-            Some(MetricValue::Counter(rs.exec_time))
-        );
-        // Determinism: a second instrumented run is bit-identical.
-        let (_, m2) = run_instrumented(&t, cfg(2, 2));
-        assert_eq!(m, m2);
-    }
-
-    #[test]
     fn barrier_sync_accounting() {
         let mut b = TraceBuilder::new(2);
         b.compute(0, 5);
         b.compute(1, 100);
         b.barrier_all();
         let t = b.finish();
-        let rs = run(&t, cfg(2, 1));
+        let rs = full_run(&t, cfg(2, 1));
         // Proc 0 arrives at 6 (5 compute + 1 barrier cycle), proc 1 at
         // 101; release at 101.
         assert_eq!(rs.per_proc[0].sync, 95);
@@ -700,7 +596,7 @@ mod tests {
             b.unlock(p, l);
         }
         let t = b.finish();
-        let rs = run(&t, cfg(3, 1));
+        let rs = full_run(&t, cfg(3, 1));
         // Critical sections serialize: three 50-cycle sections plus
         // acquire/release overhead must exceed 150 cycles end to end.
         assert!(rs.exec_time > 150, "exec {} not serialized", rs.exec_time);
@@ -725,7 +621,7 @@ mod tests {
         b.compute(1, 5); // proc 1 slightly behind
         b.read(1, a);
         let t = b.finish();
-        let rs = run(&t, cfg(2, 2));
+        let rs = full_run(&t, cfg(2, 2));
         assert_eq!(rs.mem.read_misses, 1, "one miss for the cluster");
         assert_eq!(rs.mem.merge_stalls, 1);
         assert!(rs.per_proc[1].merge > 0, "follower merge-stalled");
@@ -749,8 +645,8 @@ mod tests {
             b.finish()
         };
         let t = build();
-        let solo = run(&t, cfg(4, 1));
-        let clustered = run(&t, cfg(4, 4));
+        let solo = full_run(&t, cfg(4, 1));
+        let clustered = full_run(&t, cfg(4, 4));
         assert!(
             clustered.exec_time < solo.exec_time,
             "clustered {} !< unclustered {}",
@@ -777,8 +673,8 @@ mod tests {
         }
         b.barrier_all();
         let t = b.finish();
-        let r1 = run(&t, cfg(4, 2));
-        let r2 = run(&t, cfg(4, 2));
+        let r1 = full_run(&t, cfg(4, 2));
+        let r2 = full_run(&t, cfg(4, 2));
         assert_eq!(r1.exec_time, r2.exec_time);
         assert_eq!(r1.mem, r2.mem);
     }
@@ -792,16 +688,8 @@ mod tests {
             b.compute(0, 2);
         }
         let t = b.finish();
-        let base = run(&t, cfg(1, 1));
-        let slow = run_with(
-            &t,
-            cfg(1, 1),
-            EngineOptions {
-                load_latency: 4,
-                dependent_load_period: 4,
-                implicit_load_period: 18,
-            },
-        );
+        let base = full_run(&t, cfg(1, 1));
+        let slow = try_run_with(&t, cfg(1, 1), EngineOptions { load_latency: 4 }).unwrap();
         assert!(slow.exec_time > base.exec_time);
         // 160 reads, every 4th dependent => 40 * 3 extra cycles.
         assert_eq!(slow.exec_time, base.exec_time + 40 * 3);
@@ -820,7 +708,7 @@ mod tests {
         b.compute(2, 10);
         b.write(2, a); // t=10: invalidates cluster 0's pending line
         let t = b.finish();
-        let rs = run(&t, cfg(4, 2));
+        let rs = full_run(&t, cfg(4, 2));
         // Proc 1 retried and missed again: at least 2 read misses total.
         assert!(
             rs.mem.read_misses >= 2,
@@ -830,18 +718,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn wrong_proc_count_panics() {
-        let b = TraceBuilder::new(2);
-        let t = b.finish();
-        let _ = run(&t, cfg(4, 1));
+    fn wrong_proc_count_is_a_typed_error() {
+        let t = TraceBuilder::new(2).finish();
+        assert_eq!(
+            try_run_with(&t, cfg(4, 1), EngineOptions::default()),
+            Err(EngineError::ProcCountMismatch {
+                trace: 2,
+                machine: 4
+            })
+        );
     }
 
     #[test]
     fn empty_trace_runs() {
         let b = TraceBuilder::new(3);
         let t = b.finish(); // just the final barrier
-        let rs = run(&t, cfg(3, 1));
+        let rs = full_run(&t, cfg(3, 1));
         assert_eq!(rs.exec_time, 1);
         assert_eq!(rs.mem.total_misses(), 0);
     }
@@ -872,16 +764,16 @@ mod tests {
 
     #[test]
     fn sampled_rate_one_is_bit_identical_to_full_replay() {
-        use simcore::sample::{SampleMode, SamplePlan, SampleSpec};
+        use simcore::sample::{SampleMode, SampleSpec};
         let t = sampled_fixture();
-        let full = run(&t, cfg(4, 2));
+        let full = full_run(&t, cfg(4, 2));
         for mode in SampleMode::ALL {
             let spec = SampleSpec {
                 rate: 1.0,
                 ..SampleSpec::new(mode)
             };
             let plan = SamplePlan::for_trace(&t, &spec);
-            let sampled = run_sampled(&t, cfg(4, 2), &plan);
+            let sampled = sampled_run(&t, cfg(4, 2), &plan);
             assert_eq!(
                 sampled.stats, full,
                 "{mode:?} at rate 1.0 must be full replay"
@@ -896,7 +788,7 @@ mod tests {
 
     #[test]
     fn sampled_replay_is_deterministic_and_preserves_sync() {
-        use simcore::sample::{SampleMode, SamplePlan, SampleSpec};
+        use simcore::sample::{SampleMode, SampleSpec};
         let t = sampled_fixture();
         for mode in SampleMode::ALL {
             let spec = SampleSpec {
@@ -906,14 +798,14 @@ mod tests {
                 ..SampleSpec::new(mode)
             };
             let plan = SamplePlan::for_trace(&t, &spec);
-            let a = run_sampled(&t, cfg(4, 2), &plan);
-            let b = run_sampled(&t, cfg(4, 2), &plan);
+            let a = sampled_run(&t, cfg(4, 2), &plan);
+            let b = sampled_run(&t, cfg(4, 2), &plan);
             assert_eq!(a, b, "{mode:?}: sampled replay must be deterministic");
             assert!(a.stats.exec_time > 0);
             // Fewer measured ops than the trace holds: the sampled
             // replay must do strictly less measured work, with the
             // warm remainder reported functionally on the side.
-            let full = run(&t, cfg(4, 2));
+            let full = full_run(&t, cfg(4, 2));
             assert!(
                 a.stats.mem.reads() < full.mem.reads(),
                 "{mode:?}: sampling must measure fewer reads"
@@ -931,47 +823,17 @@ mod tests {
 
     #[test]
     fn zero_options_are_typed_errors() {
-        // With extra load latency, a compute block divides by the
-        // implicit-load period.
         let mut b = TraceBuilder::new(1);
         b.compute(0, 40);
         let t = b.finish();
-        let d = EngineOptions::default();
-        for (opts, field) in [
-            (
-                EngineOptions {
-                    load_latency: 0,
-                    ..d
-                },
-                "load_latency",
-            ),
-            (
-                EngineOptions {
-                    dependent_load_period: 0,
-                    ..d
-                },
-                "dependent_load_period",
-            ),
-            (
-                EngineOptions {
-                    load_latency: 2,
-                    implicit_load_period: 0,
-                    ..d
-                },
-                "implicit_load_period",
-            ),
-        ] {
-            assert_eq!(
-                try_run_with(&t, cfg(1, 1), opts),
-                Err(EngineError::InvalidOptions { field })
-            );
-        }
-        // The period is unused at single-cycle loads, so still accepted.
-        let plain = EngineOptions {
-            implicit_load_period: 0,
-            ..d
-        };
-        assert_eq!(try_run_with(&t, cfg(1, 1), plain), Ok(run(&t, cfg(1, 1))));
+        let err = try_run_with(&t, cfg(1, 1), EngineOptions { load_latency: 0 }).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::InvalidOptions {
+                field: "load_latency"
+            }
+        );
+        assert!(err.to_string().contains("load_latency"), "{err}");
     }
 
     #[test]

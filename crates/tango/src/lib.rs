@@ -14,10 +14,15 @@
 //! latency; reads of pending lines merge-stall until the outstanding
 //! fill returns and then *retry*, so an invalidation arriving during
 //! the wait is observed faithfully.
+//!
+//! Three entry points, all returning a typed [`EngineError`] instead of
+//! panicking on a trace that does not fit the machine:
+//! [`try_run_with`] (full replay), [`try_run_observed`] (full replay
+//! with a witness tap on every committed access) and
+//! [`try_run_sampled`] (replay under a sample plan).
 
 pub mod engine;
 
 pub use engine::{
-    run, run_instrumented, run_sampled, run_with, try_run_observed, try_run_sampled, try_run_with,
-    EngineError, EngineOptions, SampledRun,
+    try_run_observed, try_run_sampled, try_run_with, EngineError, EngineOptions, SampledRun,
 };

@@ -19,6 +19,8 @@ use coherence::config::CacheSpec;
 use coherence::{LatencyTable, MachineConfig};
 use simcore::ops::{PackedOp, Trace};
 use simcore::space::AddressSpace;
+use simcore::stats::RunStats;
+use tango::EngineOptions;
 
 /// The recorded shrunk trace from the old regressions file.
 fn regression_trace() -> Trace {
@@ -170,6 +172,10 @@ fn regression_trace() -> Trace {
     }
 }
 
+fn replay(t: &Trace, m: MachineConfig) -> RunStats {
+    tango::try_run_with(t, m, EngineOptions::default()).expect("regression trace replays")
+}
+
 fn machine(per_cluster: u32, cache: CacheSpec) -> MachineConfig {
     MachineConfig {
         n_procs: 4,
@@ -190,7 +196,7 @@ fn regression_breakdowns_sum_to_exec_time() {
     // breakdown components must account for every cycle.
     let t = regression_trace();
     for per_cluster in [1u32, 2, 4] {
-        let rs = tango::run(&t, machine(per_cluster, CacheSpec::Infinite));
+        let rs = replay(&t, machine(per_cluster, CacheSpec::Infinite));
         for (p, bd) in rs.per_proc.iter().enumerate() {
             assert_eq!(
                 bd.total(),
@@ -205,8 +211,8 @@ fn regression_breakdowns_sum_to_exec_time() {
 fn regression_run_is_deterministic() {
     let t = regression_trace();
     let m = machine(2, CacheSpec::PerProcBytes(4096));
-    let a = tango::run(&t, m);
-    let b = tango::run(&t, m);
+    let a = replay(&t, m);
+    let b = replay(&t, m);
     assert_eq!(a.exec_time, b.exec_time);
     assert_eq!(a.mem, b.mem);
     assert_eq!(a.per_proc, b.per_proc);
@@ -216,7 +222,7 @@ fn regression_run_is_deterministic() {
 fn regression_cpu_is_config_independent() {
     let t = regression_trace();
     let sum_cpu = |cache, per_cluster| {
-        let rs = tango::run(&t, machine(per_cluster, cache));
+        let rs = replay(&t, machine(per_cluster, cache));
         rs.per_proc.iter().map(|b| b.cpu).sum::<u64>()
     };
     let a = sum_cpu(CacheSpec::Infinite, 1);
@@ -227,8 +233,8 @@ fn regression_cpu_is_config_independent() {
 #[test]
 fn regression_zero_latency_is_lower_bound() {
     let t = regression_trace();
-    let paper = tango::run(&t, machine(1, CacheSpec::Infinite));
-    let free = tango::run(
+    let paper = replay(&t, machine(1, CacheSpec::Infinite));
+    let free = replay(
         &t,
         MachineConfig {
             n_procs: 4,
@@ -249,8 +255,8 @@ fn regression_infinite_cache_not_slower_than_tiny_cache() {
     // direction is pinned (see prop_engine for why exec_time can
     // legitimately invert with writes).
     let t = regression_trace();
-    let inf = tango::run(&t, machine(1, CacheSpec::Infinite));
-    let fin = tango::run(&t, machine(1, CacheSpec::PerProcBytes(512)));
+    let inf = replay(&t, machine(1, CacheSpec::Infinite));
+    let fin = replay(&t, machine(1, CacheSpec::PerProcBytes(512)));
     assert!(inf.mem.read_misses <= fin.mem.read_misses);
     assert!(inf.mem.total_misses() <= fin.mem.total_misses());
 }
@@ -263,7 +269,7 @@ fn regression_exec_time_is_cluster_monotone_here() {
     let t = regression_trace();
     let mut prev = u64::MAX;
     for per_cluster in [1u32, 2, 4] {
-        let rs = tango::run(&t, machine(per_cluster, CacheSpec::Infinite));
+        let rs = replay(&t, machine(per_cluster, CacheSpec::Infinite));
         assert!(
             rs.exec_time <= prev,
             "exec_time rose at per_cluster {per_cluster}"

@@ -10,7 +10,10 @@ use coherence::config::CacheSpec;
 use coherence::{LatencyTable, MachineConfig};
 use simcore::ops::{Op, Trace, TraceBuilder};
 use simcore::propcheck::{self, halves, Gen};
+use simcore::sample::SamplePlan;
+use simcore::stats::RunStats;
 use simcore::{prop_ensure, prop_ensure_eq};
+use tango::{EngineOptions, SampledRun};
 
 const CASES: u32 = 48;
 
@@ -82,6 +85,20 @@ fn build_trace(scripts: &[Script]) -> Trace {
     b.finish()
 }
 
+/// Full replay under default options; an engine error fails the case.
+fn replay(trace: &Trace, m: MachineConfig) -> Result<RunStats, String> {
+    tango::try_run_with(trace, m, EngineOptions::default()).map_err(|e| e.to_string())
+}
+
+/// Sampled replay under default options; an engine error fails the case.
+fn replay_sampled(
+    trace: &Trace,
+    m: MachineConfig,
+    plan: &SamplePlan,
+) -> Result<SampledRun, String> {
+    tango::try_run_sampled(trace, m, EngineOptions::default(), plan).map_err(|e| e.to_string())
+}
+
 fn machine(n_procs: u32, per_cluster: u32, cache: CacheSpec) -> MachineConfig {
     MachineConfig {
         n_procs,
@@ -103,7 +120,7 @@ fn breakdowns_sum_to_exec_time() {
             trace
                 .validate()
                 .map_err(|e| format!("invalid trace: {e}"))?;
-            let rs = tango::run(&trace, machine(4, *per_cluster, CacheSpec::Infinite));
+            let rs = replay(&trace, machine(4, *per_cluster, CacheSpec::Infinite))?;
             for bd in &rs.per_proc {
                 prop_ensure_eq!(bd.total(), rs.exec_time);
             }
@@ -122,8 +139,8 @@ fn runs_are_deterministic() {
         |scripts| {
             let trace = build_trace(scripts);
             let m = machine(4, 2, CacheSpec::PerProcBytes(4096));
-            let a = tango::run(&trace, m);
-            let b = tango::run(&trace, m);
+            let a = replay(&trace, m)?;
+            let b = replay(&trace, m)?;
             prop_ensure_eq!(a.exec_time, b.exec_time);
             prop_ensure_eq!(a.mem, b.mem);
             prop_ensure_eq!(a.per_proc, b.per_proc);
@@ -144,13 +161,13 @@ fn total_cpu_is_config_independent() {
             // system (hits are single-cycle in every configuration).
             let trace = build_trace(scripts);
             let sum_cpu = |cache| {
-                let rs = tango::run(&trace, machine(4, 1, cache));
-                rs.per_proc.iter().map(|b| b.cpu).sum::<u64>()
+                let rs = replay(&trace, machine(4, 1, cache))?;
+                Ok::<u64, String>(rs.per_proc.iter().map(|b| b.cpu).sum())
             };
-            let a = sum_cpu(CacheSpec::Infinite);
-            let b = sum_cpu(CacheSpec::PerProcBytes(1024));
+            let a = sum_cpu(CacheSpec::Infinite)?;
+            let b = sum_cpu(CacheSpec::PerProcBytes(1024))?;
             prop_ensure_eq!(a, b);
-            let rs = tango::run(&trace, machine(4, 4, CacheSpec::Infinite));
+            let rs = replay(&trace, machine(4, 4, CacheSpec::Infinite))?;
             prop_ensure_eq!(rs.per_proc.iter().map(|b| b.cpu).sum::<u64>(), a);
             Ok(())
         },
@@ -185,8 +202,8 @@ fn infinite_cache_never_loses_to_finite_read_only() {
                 }
             }
             let trace = b.finish();
-            let inf = tango::run(&trace, machine(4, 1, CacheSpec::Infinite));
-            let fin = tango::run(&trace, machine(4, 1, CacheSpec::PerProcBytes(512)));
+            let inf = replay(&trace, machine(4, 1, CacheSpec::Infinite))?;
+            let fin = replay(&trace, machine(4, 1, CacheSpec::PerProcBytes(512)))?;
             prop_ensure!(inf.exec_time <= fin.exec_time, "infinite slower");
             prop_ensure!(
                 inf.mem.read_misses <= fin.mem.read_misses,
@@ -206,8 +223,8 @@ fn zero_latency_is_lower_bound() {
         |s| shrink_scripts(s),
         |scripts| {
             let trace = build_trace(scripts);
-            let paper = tango::run(&trace, machine(4, 1, CacheSpec::Infinite));
-            let free = tango::run(
+            let paper = replay(&trace, machine(4, 1, CacheSpec::Infinite))?;
+            let free = replay(
                 &trace,
                 MachineConfig {
                     n_procs: 4,
@@ -215,7 +232,7 @@ fn zero_latency_is_lower_bound() {
                     cache: CacheSpec::Infinite,
                     lat: LatencyTable::uniform(0),
                 },
-            );
+            )?;
             prop_ensure!(free.exec_time <= paper.exec_time, "free run slower");
             // With zero miss latency there is no load stall at all.
             for bd in &free.per_proc {
@@ -253,7 +270,7 @@ fn miss_counts_are_cluster_monotone_for_read_only() {
             let t = b.finish();
             let mut prev = u64::MAX;
             for per_cluster in [1u32, 2, 4, 8] {
-                let rs = tango::run(&t, machine(8, per_cluster, CacheSpec::Infinite));
+                let rs = replay(&t, machine(8, per_cluster, CacheSpec::Infinite))?;
                 prop_ensure!(
                     rs.mem.read_misses <= prev,
                     "misses rose at per_cluster {per_cluster}"
@@ -267,7 +284,7 @@ fn miss_counts_are_cluster_monotone_for_read_only() {
 
 #[test]
 fn sampled_ledgers_conserve_the_full_replay() {
-    use simcore::sample::{SampleMode, SamplePlan, SampleSpec};
+    use simcore::sample::{SampleMode, SampleSpec};
     use simcore::stats::Breakdown;
     use std::cell::Cell;
     // Short intervals with a warmup window longer than any gap between
@@ -283,7 +300,7 @@ fn sampled_ledgers_conserve_the_full_replay() {
         |(scripts, per_cluster)| {
             let trace = build_trace(scripts);
             let m = machine(4, *per_cluster, CacheSpec::PerProcBytes(1024));
-            let full = tango::run(&trace, m);
+            let full = replay(&trace, m)?;
             let full_bd = full
                 .per_proc
                 .iter()
@@ -318,7 +335,7 @@ fn sampled_ledgers_conserve_the_full_replay() {
                         }
                     }
                 }
-                let s = tango::run_sampled(&trace, m, &plan);
+                let s = replay_sampled(&trace, m, &plan)?;
                 prop_ensure_eq!(s.warm_bd.cpu, warm_cpu);
                 let w = s.warm_mem;
                 prop_ensure_eq!(

@@ -2,7 +2,7 @@
 //! directional results the reproduction must preserve regardless of
 //! calibration details.
 
-use cluster_study::study::{run_config, ClusterSweep, StudySpec};
+use cluster_study::study::{run_cell, ClusterSweep, StudySpec};
 use coherence::config::CacheSpec;
 use simcore::ops::{Trace, TraceBuilder};
 use splash::SplashApp;
@@ -88,8 +88,8 @@ fn working_set_overlap_beats_infinite_cache_gain() {
 #[test]
 fn merges_grow_with_clustering() {
     let trace = splash::radix::Radix::small().generate(16);
-    let alone = run_config(&trace, 1, CacheSpec::Infinite);
-    let grouped = run_config(&trace, 4, CacheSpec::Infinite);
+    let alone = run_cell(&trace, 1, CacheSpec::Infinite, None).unwrap().0;
+    let grouped = run_cell(&trace, 4, CacheSpec::Infinite, None).unwrap().0;
     assert!(
         grouped.mem.merge_stalls > alone.mem.merge_stalls,
         "radix should merge on its shared histogram tree: {} vs {}",
@@ -112,8 +112,8 @@ fn producer_consumer_handoff_captured_by_cluster() {
         b.barrier_all();
     }
     let t = b.finish();
-    let split = run_config(&t, 1, CacheSpec::Infinite);
-    let together = run_config(&t, 2, CacheSpec::Infinite);
+    let split = run_cell(&t, 1, CacheSpec::Infinite, None).unwrap().0;
+    let together = run_cell(&t, 2, CacheSpec::Infinite, None).unwrap().0;
     assert!(
         together.exec_time * 10 < split.exec_time * 9,
         "sharing a cluster should cut the hand-off substantially: {} vs {}",
@@ -128,7 +128,7 @@ fn producer_consumer_handoff_captured_by_cluster() {
 fn shared_cache_costs_reduce_attractiveness() {
     let trace = splash::lu::Lu::small().generate(16);
     let sweep = sweep_sizes(&trace, CacheSpec::Infinite, &[1, 2, 4, 8]);
-    let factors = cluster_study::measure_latency_factors(&trace);
+    let factors = cluster_study::measure_latency_factors(&trace).unwrap();
     let costed = cluster_study::report::costed_relative_times(&sweep, &factors);
     let raw = sweep.normalized_totals();
     for ((_, c), (_, r)) in costed.iter().zip(&raw).skip(1) {
@@ -142,15 +142,20 @@ fn shared_cache_costs_reduce_attractiveness() {
 #[test]
 fn direct_mapped_shared_cache_interferes() {
     let trace = splash::ocean::Ocean::small().generate(16);
-    let full = run_config(&trace, 4, CacheSpec::PerProcBytes(4096));
-    let direct = run_config(
+    let full = run_cell(&trace, 4, CacheSpec::PerProcBytes(4096), None)
+        .unwrap()
+        .0;
+    let direct = run_cell(
         &trace,
         4,
         CacheSpec::PerProcSetAssoc {
             bytes: 4096,
             ways: 1,
         },
-    );
+        None,
+    )
+    .unwrap()
+    .0;
     assert!(
         direct.mem.read_misses > full.mem.read_misses,
         "direct-mapped should conflict-miss more: {} vs {}",

@@ -2,7 +2,7 @@
 //! stack (trace generation → coherence model → timing engine) and
 //! produces structurally sound results.
 
-use cluster_study::study::{run_config, StudySpec};
+use cluster_study::study::{run_cell, StudySpec};
 use coherence::config::CacheSpec;
 use splash::{suite, ProblemSize, SplashApp};
 
@@ -13,7 +13,9 @@ fn every_app_runs_end_to_end_at_16_procs() {
         trace
             .validate()
             .unwrap_or_else(|e| panic!("{}: invalid trace: {e}", app.name()));
-        let rs = run_config(&trace, 4, CacheSpec::PerProcBytes(4096));
+        let rs = run_cell(&trace, 4, CacheSpec::PerProcBytes(4096), None)
+            .unwrap()
+            .0;
         assert!(rs.exec_time > 0, "{}: empty run", app.name());
         assert!(
             rs.mem.total_misses() > 0,
@@ -42,8 +44,8 @@ fn every_app_is_deterministic_end_to_end() {
             "{}: trace generation not deterministic",
             app.name()
         );
-        let m1 = run_config(&t1, 2, CacheSpec::Infinite);
-        let m2 = run_config(&t2, 2, CacheSpec::Infinite);
+        let m1 = run_cell(&t1, 2, CacheSpec::Infinite, None).unwrap().0;
+        let m2 = run_cell(&t2, 2, CacheSpec::Infinite, None).unwrap().0;
         assert_eq!(m1.exec_time, m2.exec_time, "{}", app.name());
         assert_eq!(m1.mem, m2.mem, "{}", app.name());
     }
@@ -91,7 +93,9 @@ fn umbrella_crate_reexports_whole_stack() {
     use clustered_smp::{cluster_study as cs, coherence as ch, simcore as sc, splash as sp};
     let app = sp::fft::Fft::small();
     let trace = sp::SplashApp::generate(&app, 8);
-    let rs = cs::study::run_config(&trace, 2, ch::config::CacheSpec::Infinite);
+    let rs = cs::study::run_cell(&trace, 2, ch::config::CacheSpec::Infinite, None)
+        .unwrap()
+        .0;
     assert!(rs.exec_time > 0);
     let _ = sc::addr::line_of(128);
     let _ = clustered_smp::tango::EngineOptions::default();

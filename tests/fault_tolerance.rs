@@ -2,7 +2,8 @@
 //! manifest layers: injected panics are isolated and retried without
 //! perturbing a single bit of any result; unrecovered failures are
 //! *recorded* while every other cell's results survive; and delay
-//! faults trip the soft timeout watchdog without killing the item.
+//! faults trip the soft timeout watchdog without killing the item. A
+//! replay the engine rejects is a typed error, recorded as a panic is.
 //!
 //! All fault selection is deterministic (`simcore::fault`), so these
 //! tests are exact — no flakiness budget, no statistical assertions.
@@ -215,4 +216,46 @@ fn delay_faults_are_flagged_timeout_not_killed() {
         reference,
         "timed-out items must still produce exact results"
     );
+}
+
+/// A cell the machine cannot take fails as a value: the size-3 cells
+/// of an 8-processor trace settle `Failed` with the config error's text
+/// after `1 + retries` attempts, the size-1 cells complete, and
+/// `errors()` lists exactly the failures.
+#[test]
+fn cells_the_machine_rejects_fail_with_the_config_error() {
+    let t8 = cluster_study::apps::trace_for("lu", ProblemSize::Small, PROCS);
+    let run = StudySpec::for_trace(&t8)
+        .cluster_sizes(&[1, 3])
+        .jobs(2)
+        .policy(RunPolicy {
+            retries: 1,
+            ..RunPolicy::none()
+        })
+        .run_with(|_| {});
+    let reason = coherence::ConfigError::ClusterDoesNotDivide {
+        per_cluster: 3,
+        n_procs: 8,
+    }
+    .to_string();
+    assert_eq!(run.cells.len(), 8);
+    for c in &run.cells {
+        match (&c.outcome, c.cluster) {
+            (CellOutcome::Done { attempts, .. }, 1) => assert_eq!(*attempts, 1),
+            (CellOutcome::Failed { error, attempts }, 3) => {
+                assert!(error.contains(&reason), "{error}");
+                assert_eq!(*attempts, 2);
+            }
+            (o, size) => panic!("size-{size} cell settled as {o:?}"),
+        }
+    }
+    let errs = run.errors();
+    assert_eq!(errs.len(), 4);
+    for (e, cache) in errs.iter().zip(cluster_study::study::section5_caches()) {
+        assert_eq!(e.phase, cluster_study::parallel::Phase::Sim);
+        assert_eq!(e.cache, Some(cache.label()));
+        assert_eq!(e.cluster, Some(3));
+        assert_eq!(e.attempts, 2);
+        assert!(e.error.contains(&reason), "{}", e.error);
+    }
 }

@@ -7,7 +7,7 @@
 //! and the threaded path at several job counts.
 
 use cluster_study::parallel::{resolve_jobs, run_items};
-use cluster_study::study::{run_config, StudySpec, CLUSTER_SIZES};
+use cluster_study::study::{run_cell, StudySpec, CLUSTER_SIZES};
 use coherence::config::CacheSpec;
 use simcore::ops::Trace;
 use splash::{by_name, suite, ProblemSize};
@@ -31,7 +31,14 @@ fn parallel_sweep_matches_serial_for_every_small_app() {
         // Serial reference, plain loop with no thread machinery.
         let serial: Vec<_> = CLUSTER_SIZES
             .iter()
-            .map(|&c| (c, run_config(&trace, c, CacheSpec::PerProcBytes(4096))))
+            .map(|&c| {
+                (
+                    c,
+                    run_cell(&trace, c, CacheSpec::PerProcBytes(4096), None)
+                        .unwrap()
+                        .0,
+                )
+            })
             .collect();
         for jobs in [1, 3] {
             let sweep = StudySpec::for_trace(&trace)

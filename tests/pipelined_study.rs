@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cluster_study::manifest::Manifest;
-use cluster_study::study::{run_config, StudyEvent, StudySpec};
+use cluster_study::study::{run_cell, StudyEvent, StudySpec};
 use coherence::config::CacheSpec;
 use splash::{by_name, ProblemSize};
 
@@ -25,7 +25,7 @@ fn serial_reference() -> Manifest {
         let trace = by_name(app, ProblemSize::Small).unwrap().generate(PROCS);
         for cache in CACHES {
             for c in SIZES {
-                let rs = run_config(&trace, c, cache);
+                let rs = run_cell(&trace, c, cache, None).unwrap().0;
                 m.record_run(app, &cache.label(), c, &rs, None);
             }
         }
