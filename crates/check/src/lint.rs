@@ -18,6 +18,10 @@
 //! |              | conversions go through `try_from` or the helpers   |
 //! |              | in `simcore::cast`, so a count overflowing the     |
 //! |              | target width can never silently wrap               |
+//! | `no-unsafe`  | the `unsafe` keyword (`unsafe ` / `unsafe{`) in    |
+//! |              | non-test code of every `crates/*/src` tree — the   |
+//! |              | serve loop's one `poll(2)` FFI call carries the    |
+//! |              | only allow                                         |
 //! | `schema-sync`| drift between a writer key set and its golden      |
 //! |              | schema test, per pairing: the manifest writers     |
 //! |              | (`manifest.rs`, `parallel.rs`) against             |
@@ -201,6 +205,16 @@ fn rs_files(dir: &Path) -> Vec<PathBuf> {
         }
     }
     out
+}
+
+/// Every `crates/*/src` tree under `root`, sorted.
+fn crate_src_dirs(root: &Path) -> Vec<PathBuf> {
+    let Ok(crates) = std::fs::read_dir(root.join("crates")) else {
+        return Vec::new();
+    };
+    let mut cs: Vec<_> = crates.flatten().map(|e| e.path().join("src")).collect();
+    cs.sort();
+    cs
 }
 
 /// Whether a literal looks like a JSON schema key (lowercase
@@ -465,6 +479,26 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
         }
     }
 
+    // no-unsafe: the workspace is safe Rust; each exception (today
+    // only the serve loop's `poll(2)` call) is an allow stating why.
+    // The tokens are the keyword as code spells it (`unsafe {`,
+    // `unsafe fn`, ...), so `forbid(unsafe_code)` and the rule's own
+    // name do not match; they are built with `concat!` so this list
+    // does not report itself.
+    for dir in crate_src_dirs(root) {
+        for file in rs_files(&dir) {
+            if let Ok(text) = std::fs::read_to_string(&file) {
+                scan_tokens(
+                    "no-unsafe",
+                    &[concat!("un", "safe "), concat!("un", "safe{")],
+                    &file,
+                    &text,
+                    &mut findings,
+                );
+            }
+        }
+    }
+
     // atomic-io: manifests/reports must go through write_atomic
     // (tmp + fsync + rename), never bare fs::write.
     let mut io_dirs: Vec<PathBuf> = vec![
@@ -472,11 +506,7 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
         root.join("examples"),
         root.join("perfbench/src"),
     ];
-    if let Ok(crates) = std::fs::read_dir(root.join("crates")) {
-        let mut cs: Vec<_> = crates.flatten().map(|e| e.path()).collect();
-        cs.sort();
-        io_dirs.extend(cs.into_iter().map(|c| c.join("src")));
-    }
+    io_dirs.extend(crate_src_dirs(root));
     for dir in io_dirs {
         for file in rs_files(&dir) {
             if let Ok(text) = std::fs::read_to_string(&file) {

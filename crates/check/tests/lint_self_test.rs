@@ -76,6 +76,12 @@ fn fixture_tree_trips_every_rule() {
     assert!(lossy.iter().any(|f| f.detail.contains("as u32")));
     assert!(lossy.iter().any(|f| f.detail.contains("as usize")));
 
+    // no-unsafe: the unannotated block reports; its copy inside
+    // #[cfg(test)] does not.
+    let unsafes = findings_for(&findings, "no-unsafe", "serve/src/raw_unsafe.rs");
+    assert_eq!(unsafes.len(), 1, "{unsafes:?}");
+    assert_eq!(unsafes[0].line, 6);
+
     // schema-sync: both drift directions report, for both pairings.
     let schema: Vec<&Finding> = findings
         .iter()

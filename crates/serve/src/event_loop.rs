@@ -8,21 +8,31 @@
 //! per connection: at most one worker is in flight per connection,
 //! and buffered lines behind it wait their turn.
 //!
+//! The loop never sleeps on a timer. A pass that made no progress
+//! blocks in one `poll(2)` call with no timeout, over the listener,
+//! every connection the loop would read or has bytes to write, and
+//! the read end of a wake pipe. Workers write a byte to that pipe
+//! after queueing a response line and after releasing their slot, so
+//! a finished result or a freed slot wakes the loop at once, and an
+//! idle server uses no CPU.
+//!
 //! Backpressure is explicit in both directions. A worker that
 //! produces faster than the peer drains (a `cursor` against a warm
 //! store) blocks in `Outbox::push` once the connection's outbox
-//! passes its high-watermark; the loop thread never blocks — it
-//! simply stops reading from (and parsing for) connections whose
-//! outbox is above the watermark, which in turn stalls the peer's
-//! TCP window. Everything here is panic-free (no-panic lint applies
-//! to this file).
+//! passes its high-watermark; the loop thread never blocks on a
+//! peer or a worker — it simply stops reading from (and parsing
+//! for) connections whose outbox is above the watermark, which in
+//! turn stalls the peer's TCP window. Everything here is panic-free
+//! (no-panic lint applies to this file).
 
 use std::collections::VecDeque;
+use std::ffi::{c_int, c_short};
 use std::io::{ErrorKind as IoKind, Read, Write};
 use std::net::TcpListener;
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
 use simcore::Json;
 
@@ -35,14 +45,99 @@ use crate::server::{dispatch_heavy, lenient_id, ServeState, Session};
 /// request bytes from the connection until it drains below it.
 pub const OUTBOX_HIGH_WATERMARK: usize = 4 << 20;
 
-/// How long the loop sleeps when a full pass made no progress.
-const IDLE_SLEEP: Duration = Duration::from_millis(1);
-
 /// Bytes read per `read(2)` call.
 const READ_CHUNK: usize = 64 * 1024;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// One entry of the `poll(2)` set (`struct pollfd`).
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+
+#[cfg(target_os = "linux")]
+type NFds = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NFds = std::ffi::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
+}
+
+impl PollFd {
+    /// An entry for `fd`; with no interest the fd is −1, which
+    /// `poll(2)` skips — a hung-up peer whose worker still runs would
+    /// otherwise report `POLLHUP` on every call and spin the loop.
+    fn new(fd: RawFd, events: c_short) -> PollFd {
+        PollFd {
+            fd: if events == 0 { -1 } else { fd },
+            events,
+            revents: 0,
+        }
+    }
+}
+
+/// Blocks until some entry of `fds` is ready. No timeout: every event
+/// the loop waits for is an fd, the wake pipe included. `EINTR`
+/// returns as a wakeup.
+fn wait_ready(fds: &mut [PollFd]) -> std::io::Result<()> {
+    let nfds = NFds::try_from(fds.len())
+        .map_err(|_| std::io::Error::new(IoKind::InvalidInput, "poll set too large"))?;
+    // cluster_check: allow(no-unsafe) — std has no readiness wait;
+    // this is one FFI call over a caller-owned `Vec<PollFd>`.
+    // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+    // `struct pollfd`s and `nfds` is exactly its length, so `poll`
+    // reads and writes only inside it, and only during the call.
+    let rc = unsafe { poll(fds.as_mut_ptr(), nfds, -1) };
+    if rc < 0 {
+        let e = std::io::Error::last_os_error();
+        if e.kind() != IoKind::Interrupted {
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
+/// The loop's wake pipe: workers write a byte to `tx`, the loop polls
+/// and drains `rx`. Workers share it with the loop, so both ends stay
+/// open until the last worker is gone, even after the loop returns.
+struct WakePipe {
+    rx: UnixStream,
+    tx: UnixStream,
+}
+
+impl WakePipe {
+    fn new() -> std::io::Result<Arc<WakePipe>> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Arc::new(WakePipe { rx, tx }))
+    }
+
+    /// Makes the loop's pending or next `poll(2)` return. A full pipe
+    /// (`WouldBlock`) is fine: the loop is already due to wake.
+    fn wake(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    fn drain(&self) {
+        let mut buf = [0u8; 256];
+        loop {
+            match (&self.rx).read(&mut buf) {
+                Ok(n) if n > 0 => {}
+                Err(e) if e.kind() == IoKind::Interrupted => {}
+                _ => return,
+            }
+        }
+    }
 }
 
 #[derive(Default)]
@@ -133,6 +228,7 @@ enum Pending {
 struct WorkerSlot {
     busy: Arc<AtomicBool>,
     outbox: Arc<Outbox>,
+    wake: Arc<WakePipe>,
     completed: bool,
 }
 
@@ -150,6 +246,10 @@ impl Drop for WorkerSlot {
             self.outbox.push(line_bytes(&resp));
         }
         self.busy.store(false, Ordering::SeqCst);
+        // After the store: a loop woken earlier could see the slot
+        // still busy, go back to `poll(2)`, and strand the lines
+        // queued behind this request.
+        self.wake.wake();
     }
 }
 
@@ -188,6 +288,11 @@ impl Conn {
             dead: false,
             initiated_shutdown: false,
         }
+    }
+
+    /// Reads only while the peer's output is keeping up.
+    fn wants_read(&self) -> bool {
+        !self.read_eof && !self.dead && self.outbox.bytes() < OUTBOX_HIGH_WATERMARK
     }
 
     fn has_unwritten(&self) -> bool {
@@ -291,7 +396,7 @@ fn pump_write(conn: &mut Conn) -> bool {
 /// connection's worker slot, the outbox passes the watermark, or the
 /// buffer runs dry. Returns true if the whole server should shut
 /// down once this connection's output is flushed.
-fn dispatch_pending(state: &Arc<ServeState>, conn: &mut Conn) -> bool {
+fn dispatch_pending(state: &Arc<ServeState>, conn: &mut Conn, wake: &Arc<WakePipe>) -> bool {
     while !conn.busy.load(Ordering::SeqCst)
         && !conn.dead
         && conn.outbox.bytes() < OUTBOX_HIGH_WATERMARK
@@ -326,16 +431,19 @@ fn dispatch_pending(state: &Arc<ServeState>, conn: &mut Conn) -> bool {
                             let version = conn.session.version();
                             let outbox = Arc::clone(&conn.outbox);
                             let busy = Arc::clone(&conn.busy);
+                            let wake = Arc::clone(wake);
                             let spawned = std::thread::Builder::new()
                                 .name("serve-worker".to_string())
                                 .spawn(move || {
                                     let mut slot = WorkerSlot {
                                         busy,
                                         outbox: Arc::clone(&outbox),
+                                        wake: Arc::clone(&wake),
                                         completed: false,
                                     };
                                     dispatch_heavy(&state, version, req, &mut |j| {
                                         outbox.push(line_bytes(&j));
+                                        wake.wake();
                                     });
                                     slot.completed = true;
                                 });
@@ -381,6 +489,8 @@ fn dispatch_pending(state: &Arc<ServeState>, conn: &mut Conn) -> bool {
 /// the loop returns) or the listener dies.
 pub fn serve_poll(state: &Arc<ServeState>, listener: TcpListener) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
+    let wake = WakePipe::new()?;
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut conns: Vec<Conn> = Vec::new();
     let mut shutting_down = false;
     let counters = state.chaos_counters();
@@ -424,8 +534,7 @@ pub fn serve_poll(state: &Arc<ServeState>, listener: TcpListener) -> std::io::Re
         for conn in conns.iter_mut() {
             // Write first: frees outbox space, unblocks workers.
             progressed |= pump_write(conn);
-            // Read only while the peer's output is keeping up.
-            if !conn.read_eof && !conn.dead && conn.outbox.bytes() < OUTBOX_HIGH_WATERMARK {
+            if conn.wants_read() {
                 progressed |= pump_read(conn);
             }
             // Load shedding: a peer that pipelines past its op budget
@@ -450,7 +559,7 @@ pub fn serve_poll(state: &Arc<ServeState>, listener: TcpListener) -> std::io::Re
             }
             if !conn.pending.is_empty() {
                 let had = conn.pending.len();
-                if dispatch_pending(state, conn) {
+                if dispatch_pending(state, conn, &wake) {
                     shutting_down = true;
                 }
                 progressed |= conn.pending.len() != had;
@@ -485,7 +594,24 @@ pub fn serve_poll(state: &Arc<ServeState>, listener: TcpListener) -> std::io::Re
         });
 
         if !progressed {
-            std::thread::sleep(IDLE_SLEEP);
+            fds.clear();
+            fds.push(PollFd::new(wake.rx.as_raw_fd(), POLLIN));
+            let accepting = if shutting_down { 0 } else { POLLIN };
+            fds.push(PollFd::new(listener.as_raw_fd(), accepting));
+            for conn in &conns {
+                let mut events = 0;
+                if conn.wants_read() {
+                    events |= POLLIN;
+                }
+                if conn.wr_pos < conn.wr.len() {
+                    events |= POLLOUT;
+                }
+                fds.push(PollFd::new(conn.stream.get_ref().as_raw_fd(), events));
+            }
+            wait_ready(&mut fds)?;
+            if fds[0].revents != 0 {
+                wake.drain();
+            }
         }
     }
 }

@@ -23,9 +23,11 @@
 //! * [`server`] — [`server::ServeState`], per-connection
 //!   [`server::Session`] version state, and the panic-free dispatch
 //!   shared by every transport.
-//! * [`event_loop`] — the nonblocking poll-based TCP loop
+//! * [`event_loop`] — the nonblocking TCP loop
 //!   ([`event_loop::serve_poll`]) multiplexing many clients over the
-//!   worker pool with explicit backpressure.
+//!   worker pool with explicit backpressure. It blocks only in
+//!   `poll(2)`, woken by socket readiness or by a worker through a
+//!   wake pipe, never on a timer.
 //! * [`client`] — a typed TCP client ([`client::ServeClient`]) used
 //!   by `paper_run --serve`, the soak harness, and the test suites,
 //!   with socket deadlines, seeded-jitter retry, transparent

@@ -647,7 +647,7 @@ pub fn dispatch_heavy(
 
 /// Best-effort correlation id for error responses: when the offending
 /// line still parses as an object with an unsigned `id`, echo it.
-pub(crate) fn lenient_id(line: &str) -> Option<u64> {
+pub fn lenient_id(line: &str) -> Option<u64> {
     simcore::json::parse(line)
         .ok()
         .and_then(|j| j.get("id").and_then(Json::as_u64))

@@ -10,15 +10,26 @@
 //!   entry is dropped and healed per shard (the store's crash
 //!   contract), and the surviving prefix serves as cache hits —
 //!   byte-identical, across the process boundary, to a fresh run.
+//! * Wakeups: the poll loop blocks in `poll(2)` with no timeout, so a
+//!   lost wakeup would hang a client forever. Each wakeup path — a
+//!   worker releasing its slot, a socket turning readable after an
+//!   idle spell, a slow reader draining a stream over the outbox
+//!   watermark — is driven by a client with a 10 s read timeout, so a
+//!   lost wakeup fails the test instead of hanging it.
 
-use std::io::Write as _;
+use std::io::{BufRead as _, BufReader, Write as _};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use cluster_serve::store::{cell_key, ResultStore};
-use cluster_serve::{scan_store_dir, serve_connection, ServeOptions, ServeState, KILL_EXIT_CODE};
+use cluster_serve::{
+    scan_store_dir, serve_connection, serve_poll, ServeClient, ServeOptions, ServeState,
+    KILL_EXIT_CODE,
+};
 use cluster_study::checkpoint::JournalEntry;
 use cluster_study::parallel::RunStatus;
 use cluster_study::run_cell;
@@ -328,4 +339,190 @@ fn killed_server_restarts_with_a_valid_store_and_serves_the_prefix() {
     }
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&fresh_dir).ok();
+}
+
+/// Boots the poll loop over a fresh store on an ephemeral port;
+/// returns the address and the loop's join handle.
+fn start_poll_server(
+    dir: &std::path::Path,
+    op_budget: usize,
+) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
+    let state = Arc::new(ServeState::new(
+        ResultStore::open(dir).expect("open store"),
+        ServeOptions {
+            jobs: 1,
+            max_line: 1 << 16,
+            queue: 8,
+            op_budget,
+        },
+    ));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let handle = std::thread::spawn(move || serve_poll(&state, listener));
+    (addr, handle)
+}
+
+/// A raw connection whose reads give up after 10 s: a lost wakeup
+/// surfaces as a read error, not a hung test.
+fn raw_client(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
+}
+
+fn read_json(reader: &mut BufReader<TcpStream>) -> Json {
+    let mut line = String::new();
+    let n = reader
+        .read_line(&mut line)
+        .expect("response within the read timeout (a lost wakeup?)");
+    assert!(n > 0, "early EOF");
+    simcore::json::parse(line.trim_end()).expect("response parses")
+}
+
+fn stop_poll_server(addr: &str, handle: std::thread::JoinHandle<std::io::Result<()>>) {
+    ServeClient::connect(addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
+    handle.join().expect("join").expect("clean exit");
+}
+
+#[test]
+fn pipelined_runs_behind_a_busy_slot_are_all_answered_in_order() {
+    let dir = tmp_dir("wake-slot");
+    let (addr, handle) = start_poll_server(&dir, 256);
+    let (mut stream, mut reader) = raw_client(&addr);
+    // Three cold runs and a ping in one write: runs 2 and 3 and the
+    // ping wait behind run 1's worker slot, so only the worker's
+    // wake after releasing the slot gets them dispatched.
+    let mut burst = String::new();
+    for (id, cluster) in [(1, 1), (2, 2), (3, 4)] {
+        burst.push_str(&format!(
+            "{{\"op\":\"run\",\"id\":{id},\"spec\":{{\"app\":\"lu\",\"procs\":4,\"caches\":[\"inf\"],\"clusters\":[{cluster}]}}}}\n"
+        ));
+    }
+    burst.push_str("{\"op\":\"ping\",\"id\":4}\n");
+    stream.write_all(burst.as_bytes()).expect("burst write");
+    for (id, op) in [(1, "run"), (2, "run"), (3, "run"), (4, "ping")] {
+        let j = read_json(&mut reader);
+        assert_eq!(j.get("id").and_then(Json::as_u64), Some(id), "{j}");
+        assert_eq!(j.get("op").and_then(Json::as_str), Some(op), "{j}");
+        assert_eq!(j.get("ok").and_then(Json::as_bool), Some(true), "{j}");
+        if op == "run" {
+            assert_eq!(j.get("sims").and_then(Json::as_u64), Some(1), "cold: {j}");
+        }
+    }
+    drop(reader);
+    drop(stream);
+    stop_poll_server(&addr, handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_request_after_an_idle_spell_is_answered() {
+    let dir = tmp_dir("wake-idle");
+    let (addr, handle) = start_poll_server(&dir, 256);
+    let (mut stream, mut reader) = raw_client(&addr);
+    for id in 1..=3u64 {
+        // The loop has long gone back to `poll(2)`: only the socket
+        // turning readable can wake it.
+        std::thread::sleep(Duration::from_millis(200));
+        stream
+            .write_all(format!("{{\"op\":\"ping\",\"id\":{id}}}\n").as_bytes())
+            .expect("write");
+        let j = read_json(&mut reader);
+        assert_eq!(j.get("id").and_then(Json::as_u64), Some(id), "{j}");
+        assert_eq!(j.get("ok").and_then(Json::as_bool), Some(true), "{j}");
+    }
+    drop(reader);
+    drop(stream);
+    stop_poll_server(&addr, handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_slow_reader_receives_every_cursor_line() {
+    // Pipelined cursors over lu's small matrix (16 cells of about
+    // 2.4 KB at 64 processors), about 19 MB in all: more than the
+    // loopback socket buffers (about 4 MB), the write buffer and the
+    // 4 MiB outbox watermark together, so while the client reads
+    // nothing the worker blocks in `Outbox::push`, the loop stops
+    // reading the connection, and only `POLLOUT` can restart it.
+    const CURSORS: u64 = 480;
+    const CELLS: u64 = 16;
+    let dir = tmp_dir("wake-slow-reader");
+    let (addr, handle) = start_poll_server(&dir, 1024);
+    let (mut stream, mut reader) = raw_client(&addr);
+    let mut burst = String::from("{\"op\":\"hello\",\"schema\":\"clustered-smp/serve/v2\"}\n");
+    for id in 1..=CURSORS {
+        burst.push_str(&format!(
+            "{{\"op\":\"cursor\",\"id\":{id},\"spec\":{{\"app\":\"lu\",\"size\":\"small\",\"procs\":64}}}}\n"
+        ));
+    }
+    stream.write_all(burst.as_bytes()).expect("burst write");
+    // Read nothing for 200 ms, then until the worker has stalled on
+    // the watermark (its served-cell count stops moving), so the
+    // drain below starts with the server idle in `poll(2)` and no
+    // worker wakeup left to mask a missing `POLLOUT`.
+    std::thread::sleep(Duration::from_millis(200));
+    let mut probe = ServeClient::connect(&addr).expect("probe connect");
+    let served = |probe: &mut ServeClient| {
+        probe
+            .stats()
+            .expect("stats")
+            .get("cells_served")
+            .and_then(Json::as_u64)
+            .expect("cells_served")
+    };
+    let mut last = served(&mut probe);
+    for _ in 0..100 {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = served(&mut probe);
+        if now == last {
+            break;
+        }
+        last = now;
+    }
+    assert!(
+        last < CURSORS * CELLS,
+        "the worker must stall on the watermark before the drain ({last} cells served)"
+    );
+    drop(probe);
+
+    let hello = read_json(&mut reader);
+    assert_eq!(
+        hello.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{hello}"
+    );
+    for id in 1..=CURSORS {
+        let start = read_json(&mut reader);
+        assert_eq!(
+            start.get("op").and_then(Json::as_str),
+            Some("cursor"),
+            "{start}"
+        );
+        assert_eq!(start.get("id").and_then(Json::as_u64), Some(id), "{start}");
+        assert_eq!(start.get("total").and_then(Json::as_u64), Some(CELLS));
+        for seq in 0..CELLS {
+            let cell = read_json(&mut reader);
+            assert_eq!(
+                cell.get("op").and_then(Json::as_str),
+                Some("cell"),
+                "{cell}"
+            );
+            assert_eq!(cell.get("seq").and_then(Json::as_u64), Some(seq), "{cell}");
+        }
+        let done = read_json(&mut reader);
+        assert_eq!(done.get("op").and_then(Json::as_str), Some("cursor_done"));
+        assert_eq!(done.get("cells").and_then(Json::as_u64), Some(CELLS));
+        assert_eq!(done.get("failed").and_then(Json::as_u64), Some(0));
+    }
+    drop(reader);
+    drop(stream);
+    stop_poll_server(&addr, handle);
+    std::fs::remove_dir_all(&dir).ok();
 }
