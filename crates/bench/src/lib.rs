@@ -208,7 +208,7 @@ impl Cli {
                     timeout_secs = Some(
                         args.next()
                             .and_then(|v| v.parse::<f64>().ok())
-                            .filter(|&t| t > 0.0 && t.is_finite())
+                            .filter(|&t| t > 0.0 && Duration::try_from_secs_f64(t).is_ok())
                             .ok_or_else(|| fail("--timeout-secs needs a positive number"))?,
                     );
                 }

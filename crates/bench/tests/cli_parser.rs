@@ -145,6 +145,8 @@ fn timeout_flag_requires_a_positive_duration() {
         &["--timeout-secs", "0"],
         &["--timeout-secs", "-1"],
         &["--timeout-secs", "inf"],
+        &["--timeout-secs", "1e300"],
+        &["--timeout-secs", "18446744073709551616"],
         &["--timeout-secs", "soon"],
     ] {
         let err = parse(bad).unwrap_err();

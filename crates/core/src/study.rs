@@ -22,11 +22,12 @@
 //!     .run_with(|e| eprintln!("{e:?}"));
 //! ```
 //!
-//! Under the hood every run goes through the pipelined two-phase
-//! executor ([`crate::parallel::run_pipeline_guarded`]): trace
-//! generation is scheduled on the same worker pool as the simulations
-//! that consume the traces, so generation overlaps simulation, and
-//! results are bit-identical across any `jobs` value.
+//! Every run goes through one pipelined two-phase scheduler
+//! ([`StudySpec::run_with`]): trace generation is scheduled on the
+//! same worker pool as the simulations that consume the traces, so
+//! generation overlaps simulation, and each item writes its outcome
+//! straight into its slot of the [`StudyRun`] matrix, so results are
+//! bit-identical across any `jobs` value.
 //!
 //! Every cell is one [`run_cell`] call, which returns the replay's
 //! typed error instead of panicking. Fault tolerance: a
@@ -39,8 +40,12 @@
 //! resumable, re-executing only the cells the log does not already
 //! hold.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::time::Duration;
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 use coherence::config::CacheSpec;
 use coherence::{LatencyTable, MachineConfig};
@@ -50,9 +55,8 @@ use simcore::stats::RunStats;
 use splash::ProblemSize;
 use tango::{EngineError, EngineOptions};
 
-use crate::checkpoint::JournalEntry;
-use crate::manifest::RunError;
-use crate::parallel::{self, FanoutTiming, GuardedEvent, Phase, RunPolicy, RunStatus};
+use crate::manifest::{JournalEntry, RunError};
+use crate::parallel::{self, FanoutTiming, Phase, RunPolicy, RunStatus};
 
 /// The cluster sizes the paper studies.
 pub const CLUSTER_SIZES: [u32; 4] = [1, 2, 4, 8];
@@ -480,6 +484,18 @@ enum Source<'a> {
     },
 }
 
+impl Source<'_> {
+    /// Trace `t`: borrowed when pre-built, generated when named.
+    fn trace(&self, t: usize) -> Cow<'_, Trace> {
+        match self {
+            Source::Ready(traces) => Cow::Borrowed(&traces[t]),
+            Source::Named { apps, size, procs } => {
+                Cow::Owned(crate::apps::trace_for(&apps[t], *size, *procs))
+            }
+        }
+    }
+}
+
 /// Builder for every study shape: which traces, which caches, which
 /// cluster sizes, how many worker threads, and how failures are
 /// handled. See the module docs for the three canonical invocations.
@@ -628,240 +644,334 @@ impl<'a> StudySpec<'a> {
         one.sweeps.pop().unwrap()
     }
 
-    /// Runs the study through the guarded pipelined executor,
-    /// reporting every settled item to `progress` as it finishes
-    /// (successes *and* failures) and returning the full [`StudyRun`]
-    /// outcome matrix.
+    /// Runs the study on the pipelined two-phase scheduler, reporting
+    /// every settled item to `progress` as it finishes (successes
+    /// *and* failures) and returning the full [`StudyRun`] outcome
+    /// matrix.
+    ///
+    /// Cells the prefill holds are served, not executed. Every other
+    /// cell is one simulation item, and every trace with such a cell
+    /// is one generation item, both run under the [`RunPolicy`].
+    /// Generation and simulation share one worker pool, so a trace's
+    /// simulations become runnable the moment it is generated. Each
+    /// worker loops over:
+    ///
+    /// 1. **Affinity** — drain a chunk of the trace this worker just
+    ///    generated or stole from (still hot in its cache);
+    /// 2. **Generate next** — else claim the next ungenerated trace;
+    /// 3. **Steal** — else take a chunk of any generated trace's
+    ///    simulations (one cluster-size row per claim);
+    /// 4. else yield until a generation in flight unlocks more work.
+    ///
+    /// With one worker the loop runs inline on the calling thread and
+    /// reduces to the serial order: generate a trace, run its cells in
+    /// matrix order, move on. Each item writes its [`GenOutcome`] or
+    /// [`CellOutcome`] into its own slot, emits its [`StudyEvent`] and
+    /// feeds [`StudySpec::on_complete`] the moment it settles, so the
+    /// results are bit-identical across any `jobs` value. The cells of
+    /// a failed generation are skipped: `attempts == 0`, never run.
     pub fn run_with(self, progress: impl Fn(&StudyEvent) + Sync) -> StudyRun {
         let jobs = parallel::resolve_jobs(self.jobs);
-        match &self.source {
-            Source::Ready(traces) => {
-                let names: Vec<String> = (0..traces.len()).map(|i| format!("trace{i}")).collect();
-                // Generation is a no-op reference hand-off here, so
-                // the pipeline degenerates to the flat sim fan-out.
-                let refs: Vec<&Trace> = traces.iter().collect();
-                self.execute(
-                    &names,
-                    &refs,
-                    jobs,
-                    |t: &&Trace| *t,
-                    |t: &&Trace| *t,
-                    progress,
-                )
-            }
-            Source::Named { apps, size, procs } => {
-                let (size, procs) = (*size, *procs);
-                self.execute(
-                    apps,
-                    apps,
-                    jobs,
-                    move |name: &String| crate::apps::trace_for(name, size, procs),
-                    |t: &Trace| t,
-                    progress,
-                )
-            }
-        }
-    }
-
-    /// The shared pipelined core: `gen_f` turns a generator input
-    /// into a `T`, `as_trace` views a `T` as the trace to simulate.
-    fn execute<GI, T>(
-        &self,
-        names: &[String],
-        gen_inputs: &[GI],
-        jobs: usize,
-        gen_f: impl Fn(&GI) -> T + Sync,
-        as_trace: impl for<'t> Fn(&'t T) -> &'t Trace + Sync,
-        progress: impl Fn(&StudyEvent) + Sync,
-    ) -> StudyRun
-    where
-        GI: Sync,
-        T: Send + Sync,
-    {
+        let names: Vec<String> = match &self.source {
+            Source::Ready(traces) => (0..traces.len()).map(|i| format!("trace{i}")).collect(),
+            Source::Named { apps, .. } => apps.clone(),
+        };
         // The canonical full matrix, in (trace, cache, cluster) order.
-        let full: Vec<(usize, (CacheSpec, u32))> = (0..gen_inputs.len())
+        let sizes = &self.sizes;
+        let full: Vec<(usize, CacheSpec, u32)> = (0..names.len())
             .flat_map(|t| {
                 self.caches
                     .iter()
-                    .flat_map(move |&cache| self.sizes.iter().map(move |&c| (t, (cache, c))))
+                    .flat_map(move |&cache| sizes.iter().map(move |&c| (t, cache, c)))
             })
             .collect();
 
-        // Cells already present in the prefill are served, not
-        // executed; the rest form the sub-problem handed to the
-        // pipeline. Traces whose every cell was served are not
-        // generated at all. An entry only matches when its recorded
-        // sampling spec equals this study's — a full result must never
-        // stand in for a sampled one or vice versa.
+        // An entry only matches when its recorded sampling spec equals
+        // this study's: a full result must never stand in for a
+        // sampled one or vice versa.
         let pre: HashMap<(&str, String, u32), &JournalEntry> = self
             .cache_prefill
             .iter()
             .filter(|e| e.sampling.map(|s| s.spec()) == self.sampling)
             .map(|e| ((e.app.as_str(), e.cache.clone(), e.cluster), e))
             .collect();
-        let mut outcomes: Vec<Option<CellOutcome>> = full
+        let cells: Vec<OnceLock<CellOutcome>> = full
             .iter()
-            .map(|&(t, (cache, c))| {
-                pre.get(&(names[t].as_str(), cache.label(), c))
-                    .map(|e| CellOutcome::Done {
+            .map(
+                |&(t, cache, c)| match pre.get(&(names[t].as_str(), cache.label(), c)) {
+                    Some(e) => OnceLock::from(CellOutcome::Done {
                         stats: e.stats.clone(),
                         wall: e.wall,
                         status: e.status,
                         attempts: e.attempts,
                         cached: true,
                         sampling: e.sampling,
-                    })
-            })
-            .collect();
-        let missing: Vec<usize> = (0..full.len()).filter(|&i| outcomes[i].is_none()).collect();
-        let mut gen_sub: Vec<usize> = Vec::new();
-        for &i in &missing {
-            if gen_sub.last() != Some(&full[i].0) && !gen_sub.contains(&full[i].0) {
-                gen_sub.push(full[i].0);
-            }
-        }
-        let sub_index: HashMap<usize, usize> =
-            gen_sub.iter().enumerate().map(|(s, &t)| (t, s)).collect();
-        let sub_inputs: Vec<&GI> = gen_sub.iter().map(|&t| &gen_inputs[t]).collect();
-        let items: Vec<(usize, (CacheSpec, u32))> = missing
-            .iter()
-            .map(|&i| (sub_index[&full[i].0], full[i].1))
+                    }),
+                    None => OnceLock::new(),
+                },
+            )
             .collect();
 
-        let report = |ev: GuardedEvent<'_, (u32, RunStats, Option<SamplingStats>)>| match ev
-            .report
-            .phase
-        {
-            Phase::Gen => {
-                let t = gen_sub[ev.report.index];
-                let event = match &ev.report.error {
-                    Some(err) => StudyEvent::GenFailed {
-                        trace: t,
-                        name: &names[t],
-                        attempts: ev.report.attempts,
-                        error: err,
-                    },
-                    None => StudyEvent::GenDone {
-                        trace: t,
-                        name: &names[t],
-                        wall: ev.report.wall,
-                    },
-                };
-                progress(&event);
+        // The work: `missing[i]` is simulation item `i`, and generator
+        // `g` builds trace `to_gen[g]` for the items in `queues[g]`. A
+        // trace whose every cell was served is not generated at all.
+        // Fault keys (`gen:{g}`, `sim:{i}`) index these lists.
+        let missing: Vec<usize> = (0..full.len())
+            .filter(|&c| cells[c].get().is_none())
+            .collect();
+        let mut to_gen: Vec<usize> = Vec::new();
+        let mut queues: Vec<Vec<usize>> = Vec::new();
+        for (i, &c) in missing.iter().enumerate() {
+            match queues.last_mut() {
+                Some(queue) if to_gen.last() == Some(&full[c].0) => queue.push(i),
+                _ => {
+                    to_gen.push(full[c].0);
+                    queues.push(vec![i]);
+                }
             }
-            Phase::Sim => {
-                let (t, (cache, cluster)) = full[missing[ev.report.index]];
-                match &ev.report.error {
-                    Some(err) => progress(&StudyEvent::SimFailed {
+        }
+
+        let gens: Vec<OnceLock<GenOutcome>> = names.iter().map(|_| OnceLock::new()).collect();
+        // `Some(trace)` once generated, `None` once failed.
+        let traces: Vec<OnceLock<Option<Cow<Trace>>>> =
+            to_gen.iter().map(|_| OnceLock::new()).collect();
+        let gen_next = AtomicUsize::new(0);
+        let sim_next: Vec<AtomicUsize> = to_gen.iter().map(|_| AtomicUsize::new(0)).collect();
+        let total = to_gen.len() + missing.len();
+        let done = AtomicUsize::new(0);
+        let chunk = self.sizes.len();
+        let start = Instant::now();
+
+        // Generates trace `to_gen[g]` and settles it; true on success.
+        let generate = |g: usize| -> bool {
+            let t = to_gen[g];
+            let name = names[t].as_str();
+            let s = self
+                .policy
+                .attempt(Phase::Gen, g, || Ok::<_, Infallible>(self.source.trace(t)));
+            let (status, attempts, wall) = (s.status(), s.attempts, s.wall);
+            let generated = match s.result {
+                Ok(trace) => {
+                    settle(&traces[g], Some(trace));
+                    progress(&StudyEvent::GenDone {
                         trace: t,
-                        name: &names[t],
+                        name,
+                        wall,
+                    });
+                    settle(
+                        &gens[t],
+                        GenOutcome::Done {
+                            wall,
+                            status,
+                            attempts,
+                        },
+                    );
+                    true
+                }
+                Err(error) => {
+                    settle(&traces[g], None);
+                    progress(&StudyEvent::GenFailed {
+                        trace: t,
+                        name,
+                        attempts,
+                        error: &error,
+                    });
+                    settle(&gens[t], GenOutcome::Failed { error, attempts });
+                    false
+                }
+            };
+            done.fetch_add(1, Ordering::Release);
+            generated
+        };
+
+        // Reports cell `missing[i]` failed and returns its outcome.
+        let failed = |i: usize, attempts: u32, error: String| {
+            let (t, cache, cluster) = full[missing[i]];
+            progress(&StudyEvent::SimFailed {
+                trace: t,
+                name: &names[t],
+                cache,
+                cluster,
+                attempts,
+                error: &error,
+            });
+            CellOutcome::Failed { error, attempts }
+        };
+
+        // Simulates cell `missing[i]` of `trace` and settles it.
+        let simulate = |i: usize, trace: &Trace| {
+            let c = missing[i];
+            let (t, cache, cluster) = full[c];
+            let name = names[t].as_str();
+            let s = self.policy.attempt(Phase::Sim, i, || {
+                run_cell(trace, cluster, cache, self.sampling.as_ref())
+            });
+            let (status, attempts, wall) = (s.status(), s.attempts, s.wall);
+            let outcome = match s.result {
+                Ok((stats, sampling)) => {
+                    progress(&StudyEvent::SimDone {
+                        trace: t,
+                        name,
                         cache,
                         cluster,
-                        attempts: ev.report.attempts,
-                        error: err,
-                    }),
-                    None => {
-                        progress(&StudyEvent::SimDone {
-                            trace: t,
-                            name: &names[t],
-                            cache,
+                        wall,
+                    });
+                    if let Some(sink) = self.on_complete {
+                        sink(&JournalEntry {
+                            app: name.to_string(),
+                            cache: cache.label(),
                             cluster,
-                            wall: ev.report.wall,
+                            stats: stats.clone(),
+                            wall: Some(wall),
+                            status,
+                            attempts,
+                            sampling,
                         });
-                        if let (Some((_, stats, sampling)), Some(sink)) =
-                            (ev.value, self.on_complete)
-                        {
-                            sink(&JournalEntry {
-                                app: names[t].clone(),
-                                cache: cache.label(),
-                                cluster,
-                                stats: stats.clone(),
-                                wall: Some(ev.report.wall),
-                                status: ev.report.status().expect("successful sim has a status"),
-                                attempts: ev.report.attempts,
-                                sampling: *sampling,
-                            });
-                        }
+                    }
+                    CellOutcome::Done {
+                        stats,
+                        wall: Some(wall),
+                        status,
+                        attempts,
+                        cached: false,
+                        sampling,
                     }
                 }
+                Err(error) => failed(i, attempts, error),
+            };
+            settle(&cells[c], outcome);
+            done.fetch_add(1, Ordering::Release);
+        };
+
+        // Marks every cell of failed generator `g` skipped. Only the
+        // worker that failed it gets here: the other rules never
+        // touch a failed generator's queue.
+        let skip_all = |g: usize| {
+            let error = format!("skipped: generator {g} failed");
+            for &i in &queues[g] {
+                settle(&cells[missing[i]], failed(i, 0, error.clone()));
+                done.fetch_add(1, Ordering::Release);
             }
         };
-        let run = parallel::run_pipeline_guarded(
-            &sub_inputs,
-            &items,
-            jobs,
-            // Steal chunk: one cluster-size row per claim.
-            self.sizes.len(),
-            &self.policy,
-            |gi: &&GI| gen_f(gi),
-            |t, &(cache, c)| {
-                run_cell(as_trace(t), c, cache, self.sampling.as_ref())
-                    .map(|(stats, sampling)| (c, stats, sampling))
-            },
-            report,
-        );
 
-        // Reassemble the full canonical matrix around the served
-        // cells.
-        let mut sub_sims = run.sims;
-        for (sub_i, &orig) in missing.iter().enumerate() {
-            let rep = &run.sim_reports[sub_i];
-            outcomes[orig] = Some(match sub_sims[sub_i].take() {
-                Some(((_, stats, sampling), wall)) => CellOutcome::Done {
-                    stats,
-                    wall: Some(wall),
-                    status: rep.status().expect("successful sim has a status"),
-                    attempts: rep.attempts,
-                    cached: false,
-                    sampling,
-                },
-                None => CellOutcome::Failed {
-                    error: rep
-                        .error
-                        .clone()
-                        .unwrap_or_else(|| "unknown failure".to_string()),
-                    attempts: rep.attempts,
-                },
+        // Claims and runs the next chunk of generated trace `g`'s
+        // cells; false when `g` has none left or is not generated.
+        let drain_chunk = |g: usize| -> bool {
+            let Some(Some(trace)) = traces[g].get() else {
+                return false;
+            };
+            let queue = &queues[g];
+            if sim_next[g].load(Ordering::Relaxed) >= queue.len() {
+                return false;
+            }
+            let at = sim_next[g].fetch_add(chunk, Ordering::Relaxed);
+            if at >= queue.len() {
+                return false;
+            }
+            for &i in &queue[at..(at + chunk).min(queue.len())] {
+                simulate(i, trace);
+            }
+            true
+        };
+
+        let worker = || {
+            let mut affinity: Option<usize> = None;
+            loop {
+                if let Some(g) = affinity {
+                    if drain_chunk(g) {
+                        continue;
+                    }
+                    affinity = None;
+                }
+                let g = gen_next.fetch_add(1, Ordering::Relaxed);
+                if g < to_gen.len() {
+                    if generate(g) {
+                        affinity = Some(g);
+                    } else {
+                        skip_all(g);
+                    }
+                    continue;
+                }
+                affinity = (0..to_gen.len()).find(|&g| drain_chunk(g));
+                if affinity.is_some() {
+                    continue;
+                }
+                if done.load(Ordering::Acquire) >= total {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        };
+        let workers = jobs.min(total.max(1));
+        if workers <= 1 {
+            worker();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(worker);
+                }
             });
         }
-        let gens: Vec<GenOutcome> = (0..gen_inputs.len())
-            .map(|t| match sub_index.get(&t) {
-                None => GenOutcome::Skipped,
-                Some(&s) => {
-                    let rep = &run.gen_reports[s];
-                    match &rep.error {
-                        Some(err) => GenOutcome::Failed {
-                            error: err.clone(),
-                            attempts: rep.attempts,
-                        },
-                        None => GenOutcome::Done {
-                            wall: rep.wall,
-                            status: rep.status().expect("successful gen has a status"),
-                            attempts: rep.attempts,
-                        },
-                    }
-                }
-            })
+        let wall = start.elapsed();
+
+        let gens: Vec<GenOutcome> = gens
+            .into_iter()
+            .map(|g| g.into_inner().unwrap_or(GenOutcome::Skipped))
             .collect();
         let cells: Vec<StudyCell> = full
             .iter()
-            .zip(outcomes)
-            .map(|(&(t, (cache, cluster)), o)| StudyCell {
-                trace: t,
+            .zip(cells)
+            .map(|(&(trace, cache, cluster), slot)| StudyCell {
+                trace,
                 cache,
                 cluster,
-                outcome: o.expect("every cell settled"),
+                outcome: slot.into_inner().expect("every cell settled"),
             })
             .collect();
+        // Timing covers the executed items only: cache-served cells
+        // cost no new work. A one-job run is its own measured serial
+        // baseline.
+        let gen_wall: Duration = gens
+            .iter()
+            .map(|g| match g {
+                GenOutcome::Done { wall, .. } => *wall,
+                _ => Duration::ZERO,
+            })
+            .sum();
+        let sim_walls: Vec<Duration> = cells
+            .iter()
+            .filter_map(|c| match c.outcome {
+                CellOutcome::Done {
+                    cached: false,
+                    wall,
+                    ..
+                } => wall,
+                _ => None,
+            })
+            .collect();
+        let sim_wall: Duration = sim_walls.iter().sum();
         StudyRun {
-            names: names.to_vec(),
+            names,
             gens,
             cells,
-            timing: run.timing,
+            timing: FanoutTiming {
+                items: sim_walls.len(),
+                jobs,
+                cumulative: gen_wall + sim_wall,
+                wall,
+                gen_wall,
+                sim_wall,
+                serial_baseline: (jobs <= 1).then_some(wall),
+            },
             sizes_per_sweep: self.sizes.len(),
             sweeps_per_trace: self.caches.len(),
         }
     }
+}
+
+/// Writes an item's outcome into its slot; each item settles once.
+fn settle<T: std::fmt::Debug>(slot: &OnceLock<T>, value: T) {
+    slot.set(value).expect("an item settles exactly once");
 }
 
 #[cfg(test)]
@@ -1118,5 +1228,119 @@ mod tests {
             resumed.per_trace()[0].sweeps[0].runs,
             "served and re-executed cells must be bit-identical"
         );
+    }
+
+    /// One line per event, wall-clock stripped.
+    fn event_line(e: &StudyEvent) -> String {
+        match *e {
+            StudyEvent::GenDone { name, .. } => format!("gen {name}"),
+            StudyEvent::SimDone {
+                name,
+                cache,
+                cluster,
+                ..
+            } => format!("sim {name} {} {cluster}", cache.label()),
+            StudyEvent::GenFailed { name, attempts, .. } => {
+                format!("gen {name} failed after {attempts}")
+            }
+            StudyEvent::SimFailed {
+                name,
+                cache,
+                cluster,
+                attempts,
+                error,
+                ..
+            } => format!(
+                "sim {name} {} {cluster} failed after {attempts}: {error}",
+                cache.label()
+            ),
+        }
+    }
+
+    /// A three-app study whose middle app cannot be generated.
+    fn with_failing_generator() -> StudySpec<'static> {
+        StudySpec::generate(&["lu", "nosuchapp", "fft"], ProblemSize::Small, 8)
+            .caches([CacheSpec::PerProcBytes(4096), CacheSpec::Infinite])
+            .cluster_sizes(&[1, 2])
+    }
+
+    /// The exact event order of a one-worker run, which is the result
+    /// store's append order at `--jobs 1`: generate a trace, then its
+    /// cells in matrix order (skipped right after a failed
+    /// generation), then the next trace.
+    #[test]
+    fn single_worker_event_order_is_pinned() {
+        use std::sync::Mutex;
+        let events = Mutex::new(Vec::new());
+        with_failing_generator()
+            .jobs(1)
+            .run_with(|e| events.lock().unwrap().push(event_line(e)));
+        let skip = "failed after 0: skipped: generator 1 failed";
+        let mut want = Vec::new();
+        for app in ["lu", "nosuchapp", "fft"] {
+            want.push(match app {
+                "nosuchapp" => format!("gen {app} failed after 1"),
+                _ => format!("gen {app}"),
+            });
+            for cell in ["4k 1", "4k 2", "inf 1", "inf 2"] {
+                want.push(match app {
+                    "nosuchapp" => format!("sim {app} {cell} {skip}"),
+                    _ => format!("sim {app} {cell}"),
+                });
+            }
+        }
+        assert_eq!(events.into_inner().unwrap(), want);
+    }
+
+    /// A generation that fails every attempt skips its cells (never
+    /// attempted, `attempts == 0`) while the other apps complete; every
+    /// item reports exactly once, at any job count.
+    #[test]
+    fn failed_generator_skips_its_cells() {
+        use std::sync::Mutex;
+        for jobs in [1, 3] {
+            let events = Mutex::new(Vec::new());
+            let run = with_failing_generator()
+                .jobs(jobs)
+                .policy(RunPolicy {
+                    retries: 1,
+                    ..RunPolicy::none()
+                })
+                .run_with(|e| events.lock().unwrap().push(event_line(e)));
+            let mut events = events.into_inner().unwrap();
+            assert_eq!(events.len(), 3 + 12, "jobs={jobs}");
+            events.sort();
+            events.dedup();
+            assert_eq!(events.len(), 3 + 12, "jobs={jobs}: each item reports once");
+            match &run.gens[1] {
+                GenOutcome::Failed { error, attempts } => {
+                    assert_eq!(*attempts, 2, "retried once");
+                    assert!(error.contains("nosuchapp"), "{error}");
+                }
+                other => panic!("jobs={jobs}: {other:?}"),
+            }
+            for c in &run.cells {
+                match (&c.outcome, c.trace) {
+                    (CellOutcome::Failed { error, attempts }, 1) => {
+                        assert_eq!(*attempts, 0);
+                        assert_eq!(error, "skipped: generator 1 failed");
+                    }
+                    (CellOutcome::Done { attempts, .. }, 0 | 2) => assert_eq!(*attempts, 1),
+                    (outcome, t) => panic!("jobs={jobs} trace {t}: {outcome:?}"),
+                }
+            }
+            assert!(run.trace_complete(0) && run.trace_complete(2));
+            assert_eq!(run.errors().len(), 1 + 4);
+            assert_eq!(run.timing.items, 8, "timing counts executed successes");
+        }
+    }
+
+    /// A study over no traces settles nothing and executes nothing.
+    #[test]
+    fn empty_study_is_complete() {
+        let run = StudySpec::new(&[]).jobs(4).run_with(|_| panic!("no items"));
+        assert!(run.cells.is_empty() && run.gens.is_empty());
+        assert!(run.is_complete());
+        assert_eq!(run.timing.items, 0);
     }
 }

@@ -7,9 +7,9 @@
 
 use std::time::Duration;
 
-use cluster_study::checkpoint::JournalEntry;
 use cluster_study::parallel::RunStatus;
 use cluster_study::study::{run_cell, CellOutcome, StudySpec};
+use cluster_study::JournalEntry;
 use coherence::config::CacheSpec;
 use simcore::ops::Op;
 use simcore::sample::{self, OpClass, SampleMode, SamplePlan, SampleSpec, SamplingStats};

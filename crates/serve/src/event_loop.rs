@@ -266,7 +266,8 @@ struct Conn {
     /// True while this connection's worker thread is in flight.
     busy: Arc<AtomicBool>,
     read_eof: bool,
-    /// Read error or worker-spawn failure: drop once drained.
+    /// The socket failed: nothing is read from or written to it
+    /// again, and it is dropped once its worker ends.
     dead: bool,
     /// This connection sent `shutdown`; the loop exits once its
     /// acknowledgment is flushed.
@@ -293,6 +294,17 @@ impl Conn {
     /// Reads only while the peer's output is keeping up.
     fn wants_read(&self) -> bool {
         !self.read_eof && !self.dead && self.outbox.bytes() < OUTBOX_HIGH_WATERMARK
+    }
+
+    /// Marks the socket failed. The outbox closes at once, so a worker
+    /// blocked in [`Outbox::push`] returns and ends, and the unwritten
+    /// bytes are dropped, so the loop neither retries the socket nor
+    /// polls it for `POLLOUT`.
+    fn kill(&mut self) {
+        self.dead = true;
+        self.outbox.close();
+        self.wr.clear();
+        self.wr_pos = 0;
     }
 
     fn has_unwritten(&self) -> bool {
@@ -352,8 +364,7 @@ fn pump_read(conn: &mut Conn) -> bool {
             Err(e) if e.kind() == IoKind::WouldBlock => return progressed,
             Err(e) if e.kind() == IoKind::Interrupted => continue,
             Err(_) => {
-                conn.dead = true;
-                conn.read_eof = true;
+                conn.kill();
                 return true;
             }
         }
@@ -361,8 +372,11 @@ fn pump_read(conn: &mut Conn) -> bool {
 }
 
 /// Writes as much of the buffered output as the socket accepts.
-/// Returns true on progress.
+/// Returns true on progress; a dead connection never makes any.
 fn pump_write(conn: &mut Conn) -> bool {
+    if conn.dead {
+        return false;
+    }
     let mut progressed = false;
     loop {
         if conn.wr_pos == conn.wr.len() {
@@ -374,18 +388,14 @@ fn pump_write(conn: &mut Conn) -> bool {
             }
         }
         match conn.stream.write(&conn.wr[conn.wr_pos..]) {
-            Ok(0) => {
-                conn.dead = true;
-                return true;
-            }
-            Ok(n) => {
+            Ok(n) if n > 0 => {
                 conn.wr_pos += n;
                 progressed = true;
             }
             Err(e) if e.kind() == IoKind::WouldBlock => return progressed,
             Err(e) if e.kind() == IoKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
+            _ => {
+                conn.kill();
                 return true;
             }
         }

@@ -23,10 +23,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use cluster_study::checkpoint::JournalEntry;
 use cluster_study::manifest::{RunRecord, ServedBy};
 use cluster_study::parallel::{run_items, run_items_streamed, RunStatus};
 use cluster_study::run_cell;
+use cluster_study::JournalEntry;
 use coherence::config::CacheSpec;
 use simcore::fault::IoFaultPlan;
 use simcore::ops::Trace;

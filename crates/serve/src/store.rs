@@ -74,8 +74,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use cluster_study::checkpoint::JournalEntry;
 use cluster_study::manifest::{write_atomic, SEED_SCHEME};
+use cluster_study::JournalEntry;
 use simcore::fault::{DiskFault, IoFaultPlan};
 use simcore::ops::Trace;
 use simcore::{stable_key, Json};
@@ -99,10 +99,10 @@ pub const STORE_FILE_V1_BACKUP: &str = "store.jsonl.v1";
 /// Shard count a fresh store is created with.
 pub const DEFAULT_SHARDS: usize = 4;
 
-/// Exit code of the `kill_after` crash-injection hook
-/// (`SERVE_KILL_AFTER_RECORDS`), re-exported from
-/// `cluster_study::checkpoint` so every harness checks the same code.
-pub const KILL_EXIT_CODE: i32 = cluster_study::checkpoint::KILL_EXIT_CODE;
+/// Process exit code of the `kill_after` crash-injection hook
+/// (`SERVE_KILL_AFTER_RECORDS`), chosen to be distinguishable from
+/// both success and a panic.
+pub const KILL_EXIT_CODE: i32 = 42;
 
 /// File name of shard `i` inside the store directory.
 pub fn shard_file_name(i: usize) -> String {

@@ -15,10 +15,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cluster_serve::store::{cell_key, KeyMode, ResultStore, StoreConfig};
 use cluster_serve::{serve_connection, ServeOptions, ServeState};
-use cluster_study::checkpoint::JournalEntry;
 use cluster_study::manifest::{RunRecord, ServedBy};
 use cluster_study::parallel::RunStatus;
 use cluster_study::run_cell;
+use cluster_study::JournalEntry;
 use coherence::config::CacheSpec;
 use simcore::propcheck::{self, drop_each, halves_and_each, shrink_to_minimal, shrink_u64, Gen};
 use simcore::{prop_ensure, prop_ensure_eq, Json};

@@ -28,9 +28,9 @@ use cluster_serve::{
     scan_store_dir, serve_poll, ClientConfig, ClientError, KeyMode, ServeClient, ServeOptions,
     ServeState,
 };
-use cluster_study::checkpoint::JournalEntry;
 use cluster_study::parallel::RunStatus;
 use cluster_study::run_cell;
+use cluster_study::JournalEntry;
 use coherence::config::CacheSpec;
 use simcore::fault::{DiskFaultKind, IoFaultPlan};
 use simcore::propcheck::{self, Gen};

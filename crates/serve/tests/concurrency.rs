@@ -16,6 +16,11 @@
 //!   idle spell, a slow reader draining a stream over the outbox
 //!   watermark — is driven by a client with a 10 s read timeout, so a
 //!   lost wakeup fails the test instead of hanging it.
+//! * Dead peers: a client that vanishes while its worker is blocked on
+//!   a full outbox must free that worker and leave the loop idle in
+//!   `poll(2)`; the server binary's own CPU ticks and its `health`
+//!   counter are checked against a deadline, so a livelock fails the
+//!   test instead of hanging it.
 
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
@@ -23,16 +28,16 @@ use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cluster_serve::store::{cell_key, ResultStore};
 use cluster_serve::{
     scan_store_dir, serve_connection, serve_poll, ServeClient, ServeOptions, ServeState,
     KILL_EXIT_CODE,
 };
-use cluster_study::checkpoint::JournalEntry;
 use cluster_study::parallel::RunStatus;
 use cluster_study::run_cell;
+use cluster_study::JournalEntry;
 use coherence::config::CacheSpec;
 use simcore::Json;
 use splash::ProblemSize;
@@ -443,32 +448,30 @@ fn a_request_after_an_idle_spell_is_answered() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn a_slow_reader_receives_every_cursor_line() {
-    // Pipelined cursors over lu's small matrix (16 cells of about
-    // 2.4 KB at 64 processors), about 19 MB in all: more than the
-    // loopback socket buffers (about 4 MB), the write buffer and the
-    // 4 MiB outbox watermark together, so while the client reads
-    // nothing the worker blocks in `Outbox::push`, the loop stops
-    // reading the connection, and only `POLLOUT` can restart it.
-    const CURSORS: u64 = 480;
-    const CELLS: u64 = 16;
-    let dir = tmp_dir("wake-slow-reader");
-    let (addr, handle) = start_poll_server(&dir, 1024);
-    let (mut stream, mut reader) = raw_client(&addr);
+/// The slow-reader burst: a v2 `hello` and 480 pipelined cursors over
+/// lu's small matrix (16 cells of about 2.4 KB at 64 processors),
+/// about 19 MB of output in all: more than the loopback socket
+/// buffers (about 4 MB), the write buffer and the 4 MiB outbox
+/// watermark together.
+const CURSORS: u64 = 480;
+const CELLS: u64 = 16;
+
+fn cursor_burst() -> String {
     let mut burst = String::from("{\"op\":\"hello\",\"schema\":\"clustered-smp/serve/v2\"}\n");
     for id in 1..=CURSORS {
         burst.push_str(&format!(
             "{{\"op\":\"cursor\",\"id\":{id},\"spec\":{{\"app\":\"lu\",\"size\":\"small\",\"procs\":64}}}}\n"
         ));
     }
-    stream.write_all(burst.as_bytes()).expect("burst write");
-    // Read nothing for 200 ms, then until the worker has stalled on
-    // the watermark (its served-cell count stops moving), so the
-    // drain below starts with the server idle in `poll(2)` and no
-    // worker wakeup left to mask a missing `POLLOUT`.
+    burst
+}
+
+/// Waits, while the burst's client reads nothing, until the worker
+/// has stalled on the outbox watermark: 200 ms, then until the served
+/// cell count stops moving, which must be short of the whole burst.
+fn wait_for_watermark_stall(addr: &str) {
     std::thread::sleep(Duration::from_millis(200));
-    let mut probe = ServeClient::connect(&addr).expect("probe connect");
+    let mut probe = ServeClient::connect(addr).expect("probe connect");
     let served = |probe: &mut ServeClient| {
         probe
             .stats()
@@ -488,9 +491,24 @@ fn a_slow_reader_receives_every_cursor_line() {
     }
     assert!(
         last < CURSORS * CELLS,
-        "the worker must stall on the watermark before the drain ({last} cells served)"
+        "the worker must stall on the watermark ({last} cells served)"
     );
-    drop(probe);
+}
+
+#[test]
+fn a_slow_reader_receives_every_cursor_line() {
+    // While the client reads nothing the worker blocks in
+    // `Outbox::push`, the loop stops reading the connection, and only
+    // `POLLOUT` can restart it.
+    let dir = tmp_dir("wake-slow-reader");
+    let (addr, handle) = start_poll_server(&dir, 1024);
+    let (mut stream, mut reader) = raw_client(&addr);
+    stream
+        .write_all(cursor_burst().as_bytes())
+        .expect("burst write");
+    // The drain below starts with the server idle in `poll(2)` and no
+    // worker wakeup left to mask a missing `POLLOUT`.
+    wait_for_watermark_stall(&addr);
 
     let hello = read_json(&mut reader);
     assert_eq!(
@@ -524,5 +542,102 @@ fn a_slow_reader_receives_every_cursor_line() {
     drop(reader);
     drop(stream);
     stop_poll_server(&addr, handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `cluster_serve` child process, killed on drop so a failed
+/// assertion never leaks a server.
+struct ServeChild(std::process::Child);
+
+impl Drop for ServeChild {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// User plus system CPU time of process `pid`, in clock ticks
+/// (fields 14 and 15 of `/proc/<pid>/stat`).
+fn cpu_ticks(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read proc stat");
+    // Fields restart after the parenthesized command name, at field 3.
+    let after_comm = &stat[stat.rfind(')').expect("command name") + 1..];
+    let fields: Vec<&str> = after_comm.split_whitespace().collect();
+    let field = |n: usize| fields[n - 3].parse::<u64>().expect("tick count");
+    field(14) + field(15)
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn a_peer_that_vanishes_mid_stream_frees_its_worker_and_idles_the_loop() {
+    // The slow-reader burst, but the client reads nothing and then
+    // closes: the socket dies while the worker is blocked in
+    // `Outbox::push`.
+    let dir = tmp_dir("dead-peer");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cluster_serve"))
+        .arg("--store")
+        .arg(&dir)
+        .args([
+            "--jobs",
+            "1",
+            "--op-budget",
+            "1024",
+            "--listen",
+            "127.0.0.1:0",
+        ])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cluster_serve");
+    // Held to the end: a closed pipe would fail the server's logging.
+    let mut log = BufReader::new(child.stderr.take().expect("stderr"));
+    let server = ServeChild(child);
+    let pid = server.0.id();
+    let mut addr = String::new();
+    while !addr.contains("listening on") {
+        addr.clear();
+        let n = log.read_line(&mut addr).expect("server log");
+        assert!(n > 0, "server exited before listening");
+    }
+    let addr = addr.trim().rsplit(' ').next().expect("address").to_string();
+
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .write_all(cursor_burst().as_bytes())
+        .expect("burst write");
+    std::thread::sleep(Duration::from_secs(1));
+    wait_for_watermark_stall(&addr);
+    // Unread bytes make the close a reset: the server's next write
+    // to this socket fails.
+    drop(stream);
+
+    let mut probe = ServeClient::connect(&addr).expect("probe connect");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let active = loop {
+        let active = probe
+            .health()
+            .expect("health")
+            .get("active")
+            .and_then(Json::as_u64)
+            .expect("active");
+        if active == 0 || Instant::now() >= deadline {
+            break active;
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    };
+    drop(probe);
+    let before = cpu_ticks(pid);
+    std::thread::sleep(Duration::from_secs(1));
+    let burned = cpu_ticks(pid) - before;
+    assert_eq!(
+        active, 0,
+        "the vanished peer's worker is still running after 20 s (the server then burned {burned} CPU ticks in 1 s)"
+    );
+    assert!(
+        burned <= 5,
+        "an idle server burned {burned} CPU ticks in 1 s"
+    );
+    drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }

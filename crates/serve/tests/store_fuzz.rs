@@ -16,8 +16,8 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use cluster_serve::store::{scan_store, shard_file_name, ResultStore, StoreEntry};
-use cluster_study::checkpoint::JournalEntry;
 use cluster_study::parallel::RunStatus;
+use cluster_study::JournalEntry;
 use simcore::propcheck::{self, halves_and_each, Config, Gen};
 use simcore::sample::{SampleMode, SampleSpec, SamplingStats};
 use simcore::stats::{Breakdown, MissStats, RunStats};

@@ -25,10 +25,11 @@ pub fn line_base(line: LineAddr) -> u64 {
     line << LINE_SHIFT
 }
 
-/// Rounds `bytes` up to a whole number of cache lines, in bytes.
+/// Rounds `bytes` up to a whole number of cache lines, in bytes;
+/// `None` when that passes `u64::MAX`.
 #[inline]
-pub fn round_up_to_line(bytes: u64) -> u64 {
-    (bytes + LINE_BYTES - 1) & !(LINE_BYTES - 1)
+pub fn round_up_to_line(bytes: u64) -> Option<u64> {
+    Some(bytes.checked_add(LINE_BYTES - 1)? & !(LINE_BYTES - 1))
 }
 
 /// Number of distinct cache lines touched by the byte range
@@ -63,10 +64,12 @@ mod tests {
 
     #[test]
     fn round_up() {
-        assert_eq!(round_up_to_line(0), 0);
-        assert_eq!(round_up_to_line(1), 64);
-        assert_eq!(round_up_to_line(64), 64);
-        assert_eq!(round_up_to_line(65), 128);
+        assert_eq!(round_up_to_line(0), Some(0));
+        assert_eq!(round_up_to_line(1), Some(64));
+        assert_eq!(round_up_to_line(64), Some(64));
+        assert_eq!(round_up_to_line(65), Some(128));
+        assert_eq!(round_up_to_line(u64::MAX - 63), Some(u64::MAX - 63));
+        assert_eq!(round_up_to_line(u64::MAX - 62), None);
     }
 
     #[test]

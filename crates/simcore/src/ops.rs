@@ -274,7 +274,9 @@ impl Trace {
                     Placement::Owner(p)
                 }
             };
-            let got = space.alloc(bytes, placement);
+            let got = space.try_alloc(bytes, placement).ok_or_else(|| {
+                format!("region {i}: {bytes} bytes overflow the 64-bit address space")
+            })?;
             if got != base {
                 return Err(format!(
                     "region {i}: base {base:#x} does not round-trip (allocator produced {got:#x})"
@@ -614,6 +616,27 @@ mod tests {
                 Json::Arr(vec![Json::Arr(vec![Json::UInt(7 << 61)])]),
             );
         assert!(Trace::from_json(&bad).is_err());
+    }
+
+    /// A region whose rounded end passes 2^64 is a typed error, not an
+    /// overflow panic (debug) or a wrapped address space (release).
+    #[test]
+    fn from_json_rejects_a_region_past_the_address_space() {
+        let doc = r#"{"schema":"clustered-smp/trace/v1","n_barriers":0,"n_locks":0,
+            "regions":[{"base":64,"bytes":18446744073709551615,"owner":null}],
+            "per_proc":[[]]}"#;
+        let doc = crate::json::parse(doc).unwrap();
+        let err = Trace::from_json(&doc).unwrap_err();
+        assert!(
+            err.contains("region 0") && err.contains("overflow"),
+            "{err}"
+        );
+        // A size that rounds up to exactly the top is still refused:
+        // the region would end at 2^64.
+        let mut space = AddressSpace::new();
+        assert_eq!(space.try_alloc(u64::MAX - 64, Placement::RoundRobin), None);
+        assert_eq!(space.region_count(), 0, "a refused region is not recorded");
+        assert_eq!(space.try_alloc(100, Placement::RoundRobin), Some(64));
     }
 
     #[test]

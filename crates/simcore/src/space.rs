@@ -80,15 +80,25 @@ impl AddressSpace {
     /// Allocates `bytes` (rounded up to whole lines) with the given
     /// placement policy and returns the region base address.
     pub fn alloc(&mut self, bytes: u64, placement: Placement) -> u64 {
-        let bytes = round_up_to_line(bytes.max(1));
+        let base = self.try_alloc(bytes, placement);
+        // cluster_check: allow(no-panic) — generators allocate far
+        // below 2^64 bytes; untrusted sizes go through `try_alloc`.
+        base.expect("address space overflow")
+    }
+
+    /// [`AddressSpace::alloc`] for untrusted sizes: `None`, allocating
+    /// nothing, when the rounded region would end past the top of the
+    /// 64-bit address space.
+    pub fn try_alloc(&mut self, bytes: u64, placement: Placement) -> Option<u64> {
+        let bytes = round_up_to_line(bytes.max(1))?;
         let base = self.next;
-        self.next += bytes;
+        self.next = base.checked_add(bytes)?;
         self.regions.push(Region {
             base,
             bytes,
             placement,
         });
-        base
+        Some(base)
     }
 
     /// Allocates shared data homed round-robin at first touch.

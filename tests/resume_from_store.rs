@@ -14,10 +14,10 @@ use cluster_bench::{cache_prefill, cache_sink};
 use cluster_serve::store::{
     scan_store, scan_store_dir, shard_file_name, KeyMode, ResultStore, StoreConfig, StoreEntry,
 };
-use cluster_study::checkpoint::JournalEntry;
 use cluster_study::manifest::Manifest;
 use cluster_study::parallel::RunStatus;
 use cluster_study::study::{StudyRun, StudySpec};
+use cluster_study::JournalEntry;
 use coherence::config::CacheSpec;
 use simcore::propcheck::{self, shrink_u64, Gen};
 use simcore::sample::{SampleMode, SampleSpec};
