@@ -8,6 +8,7 @@
 use std::path::PathBuf;
 
 use cluster_serve::ResultStore;
+use cluster_study::apps::FIG2_APPS;
 use cluster_study::manifest::{Manifest, ServedBy};
 use cluster_study::parallel::RunPolicy;
 use cluster_study::study::{ClusterSweep, StudyEvent, StudyRun, StudySpec};
@@ -173,7 +174,16 @@ impl Cli {
                 }
                 "--apps" => {
                     let list = args.next().ok_or_else(|| fail("--apps needs a list"))?;
-                    apps = Some(list.split(',').map(|s| s.trim().to_string()).collect());
+                    let names: Vec<String> =
+                        list.split(',').map(|s| s.trim().to_string()).collect();
+                    // A typo must not silently shrink the study.
+                    if let Some(bad) = names.iter().find(|n| !FIG2_APPS.contains(&n.as_str())) {
+                        return Err(fail(&format!(
+                            "--apps: unknown application `{bad}` (valid: {})",
+                            FIG2_APPS.join(", ")
+                        )));
+                    }
+                    apps = Some(names);
                 }
                 "--jobs" => {
                     jobs = Some(

@@ -67,6 +67,30 @@ fn apps_flag_splits_and_trims_the_list() {
 }
 
 #[test]
+fn apps_flag_rejects_unknown_names_listing_the_valid_ones() {
+    // A typo used to be dropped silently, shrinking the study to the
+    // names that matched.
+    let err = parse(&["--apps", "lu,nosuchapp"]).unwrap_err();
+    let msg = err.message.expect("a usage error, not --help");
+    assert!(msg.contains("`nosuchapp`"), "{msg}");
+    for app in cluster_study::apps::FIG2_APPS {
+        assert!(msg.contains(app), "the error lists `{app}`: {msg}");
+    }
+    assert!(err.usage.starts_with("usage: testtool"));
+    // Empty entries are names too, and unknown ones.
+    assert!(parse(&["--apps", "lu,"]).is_err());
+    assert!(parse(&["--apps", ""]).is_err());
+    // The same check guards the figure regenerators and serve_soak,
+    // which share this parser.
+    assert!(parse(&["--figure", "fig2_infinite", "--apps", "LU"]).is_err());
+    assert!(Cli::parse_from(
+        "serve_soak",
+        ["--apps", "nosuch"].iter().map(|s| s.to_string())
+    )
+    .is_err());
+}
+
+#[test]
 fn jobs_flag_requires_a_positive_number() {
     assert_eq!(parse(&["--jobs", "3"]).unwrap().jobs, 3);
     assert_eq!(parse(&["--jobs", "1"]).unwrap().jobs, 1);

@@ -22,6 +22,10 @@
 //! |              | non-test code of every `crates/*/src` tree — the   |
 //! |              | serve loop's one `poll(2)` FFI call carries the    |
 //! |              | only allow                                         |
+//! | `no-assert-in-result` | `assert!` / `assert_eq!` / `assert_ne!`   |
+//! |              | in a non-test function returning `Result`, in the  |
+//! |              | crates `no-panic` covers — a function that reports |
+//! |              | failure as a value must not also panic             |
 //! | `schema-sync`| drift between a writer key set and its golden      |
 //! |              | schema test, per pairing: the manifest writers     |
 //! |              | (`manifest.rs`, `parallel.rs`) against             |
@@ -183,6 +187,126 @@ fn scan_tokens(
                     detail: format!("forbidden token `{token}`"),
                 });
             }
+        }
+    }
+}
+
+/// Whether `code[at..]` starts a token: the byte before `at` is not
+/// part of an identifier (so `debug_assert!` is not `assert!`).
+fn at_token_start(code: &str, at: usize) -> bool {
+    at == 0 || !code.as_bytes()[at - 1].is_ascii_alphanumeric() && code.as_bytes()[at - 1] != b'_'
+}
+
+/// Byte offset of the first `fn ` keyword in `code`, if any.
+fn fn_keyword(code: &str) -> Option<usize> {
+    code.match_indices("fn ")
+        .map(|(at, _)| at)
+        .find(|&at| at_token_start(code, at))
+}
+
+/// Whether a signature's return type names `Result`: the text after
+/// its first `->` outside any `(..)`, `[..]` or `<..>`, up to a
+/// `where` clause.
+fn returns_result(sig: &str) -> bool {
+    let bytes = sig.as_bytes();
+    let mut nest = 0i64;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'-' if bytes.get(i + 1) == Some(&b'>') => {
+                if nest == 0 {
+                    let ret = &sig[i + 2..];
+                    let ret = ret.split(" where ").next().unwrap_or(ret);
+                    return ret.contains("Result");
+                }
+                i += 1;
+            }
+            b'(' | b'[' | b'<' => nest += 1,
+            b')' | b']' | b'>' => nest -= 1,
+            _ => {}
+        }
+        i += 1;
+    }
+    false
+}
+
+/// The no-assert-in-result rule over one file. `fn` bodies are
+/// tracked by brace depth: closures and blocks belong to the function
+/// they are written in, a nested `fn` to itself. Suppression works as
+/// in [`scan_tokens`].
+fn scan_assert_in_result(file: &Path, text: &str, findings: &mut Vec<Finding>) {
+    const RULE: &str = "no-assert-in-result";
+    const TOKENS: [&str; 3] = ["assert!", "assert_eq!", "assert_ne!"];
+    let allow_marker = format!("cluster_check: allow({RULE})");
+    let mut pending_allow = false;
+    let mut depth = 0i64;
+    // (body depth, returns Result) of each enclosing fn, innermost last.
+    let mut fns: Vec<(i64, bool)> = Vec::new();
+    // A signature whose body has not opened yet, and its bracket depth.
+    let mut sig: Option<(String, i64)> = None;
+    for (line_no, raw) in non_test_lines(text) {
+        let (code, comment) = split_comment(raw);
+        if comment.contains(&allow_marker) {
+            pending_allow = true;
+        }
+        if code.trim().is_empty() {
+            continue;
+        }
+        let allowed = pending_allow;
+        pending_allow = false;
+
+        let start = match sig {
+            Some(_) => Some(0),
+            None => fn_keyword(code),
+        };
+        if let Some(start) = start {
+            let (mut text, mut nest) = sig.take().unwrap_or_default();
+            let mut ended = false;
+            for (i, b) in code.bytes().enumerate().skip(start) {
+                match b {
+                    b'(' | b'[' => nest += 1,
+                    b')' | b']' => nest -= 1,
+                    // A declaration without a body.
+                    b';' if nest == 0 => ended = true,
+                    b'{' if nest == 0 => {
+                        text.push_str(&code[start..i]);
+                        let (opens, closes) = code_braces(&code[..i]);
+                        fns.push((depth + opens - closes + 1, returns_result(&text)));
+                        ended = true;
+                    }
+                    _ => {}
+                }
+                if ended {
+                    break;
+                }
+            }
+            if !ended {
+                text.push_str(&code[start..]);
+                text.push(' ');
+                sig = Some((text, nest));
+            }
+        }
+
+        if !allowed && fns.last().is_some_and(|&(_, result)| result) {
+            for token in TOKENS {
+                if code
+                    .match_indices(token)
+                    .any(|(at, _)| at_token_start(code, at))
+                {
+                    findings.push(Finding {
+                        rule: RULE,
+                        file: file.to_path_buf(),
+                        line: line_no,
+                        detail: format!("forbidden token `{token}` in a fn returning Result"),
+                    });
+                }
+            }
+        }
+
+        let (opens, closes) = code_braces(code);
+        depth += opens - closes;
+        while fns.last().is_some_and(|&(body, _)| body > depth) {
+            fns.pop();
         }
     }
 }
@@ -414,7 +538,8 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
 
     // no-panic: the simulation library crates promise typed errors,
     // and the serving layer promises a hostile request can never kill
-    // the server loop.
+    // the server loop. no-assert-in-result covers the same crates: an
+    // assertion is a panic path too.
     for crate_dir in [
         "crates/simcore/src",
         "crates/coherence/src",
@@ -430,6 +555,7 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
                     &text,
                     &mut findings,
                 );
+                scan_assert_in_result(&file, &text, &mut findings);
             }
         }
     }

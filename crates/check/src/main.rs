@@ -156,6 +156,12 @@ fn race_targets(
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let doc = simcore::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
         let trace = Trace::from_json(&doc).map_err(|e| format!("{path}: {e}"))?;
+        // A structurally invalid trace (an unbalanced lock, a barrier
+        // not every processor reaches) has no meaningful happens-before
+        // order, so it is rejected rather than certified.
+        trace
+            .validate()
+            .map_err(|e| format!("{path}: invalid trace: {e}"))?;
         return Ok(vec![(path.to_string(), trace)]);
     }
     let apps: Vec<Box<dyn splash::SplashApp>> = match app {

@@ -82,6 +82,20 @@ fn fixture_tree_trips_every_rule() {
     assert_eq!(unsafes.len(), 1, "{unsafes:?}");
     assert_eq!(unsafes[0].line, 6);
 
+    // no-assert-in-result: asserts in fns returning Result report,
+    // including one in a closure and one after a nested fn's body;
+    // the unit fn, the nested unit fn, `debug_assert!` and the
+    // allow-annotated site do not.
+    let asserts = findings_for(
+        &findings,
+        "no-assert-in-result",
+        "simcore/src/assert_result.rs",
+    );
+    let lines: Vec<usize> = asserts.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![6, 15, 39], "{asserts:?}");
+    assert!(asserts[1].detail.contains("`assert_eq!`"));
+    assert!(asserts[2].detail.contains("`assert_ne!`"));
+
     // schema-sync: both drift directions report, for both pairings.
     let schema: Vec<&Finding> = findings
         .iter()

@@ -117,3 +117,25 @@ fn mp3d_skipped_lock_is_caught() {
 fn fmm_dropped_barrier_is_caught() {
     assert_mutation_caught("fmm", Mutation::DropBarrier { proc: 0, nth: 1 });
 }
+
+/// A trace file that fails `Trace::validate` (here processor 1 ends
+/// holding its lock) is rejected with the validation message and a
+/// non-zero exit, never reported race-free.
+#[test]
+fn race_rejects_an_invalid_trace_file() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/traces/unbalanced_lock.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cluster_check"))
+        .arg("race")
+        .arg(&fixture)
+        .output()
+        .expect("run cluster_check");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "stdout: {stdout}");
+    assert!(!stdout.contains("race-free"), "stdout: {stdout}");
+    assert!(
+        stderr.contains("invalid trace") && stderr.contains("holding locks"),
+        "stderr: {stderr}"
+    );
+}

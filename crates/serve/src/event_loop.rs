@@ -2,11 +2,13 @@
 //!
 //! One thread owns every socket: it accepts, reads, parses, answers
 //! light ops (`ping`/`stats`/`hello`/`shutdown`/errors) inline, and
-//! hands heavy ops (`run`/`batch`/`cursor`) to a per-connection
-//! worker thread so hundreds of idle clients cost nothing while the
-//! `run_items` pool does the real work. Request order is preserved
-//! per connection: at most one worker is in flight per connection,
-//! and buffered lines behind it wait their turn.
+//! answers a `run` inline too when every cell it asks for is already
+//! in the result store. Every other heavy op (`batch`, `cursor`, a
+//! `run` with a missing cell) goes to a per-connection worker thread,
+//! so hundreds of idle clients cost nothing while the `run_items`
+//! pool does the real work. Request order is preserved per
+//! connection: at most one worker is in flight per connection, and
+//! buffered lines behind it, cached `run`s included, wait their turn.
 //!
 //! The loop never sleeps on a timer. A pass that made no progress
 //! blocks in one `poll(2)` call with no timeout, over the listener,
@@ -37,7 +39,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use simcore::Json;
 
 use crate::chaos::ChaosStream;
-use crate::protocol::{parse_request, LineAccum, LineRead, Op};
+use crate::protocol::{parse_request, LineAccum, LineRead, Op, Request};
 use crate::server::{dispatch_heavy, lenient_id, ServeState, Session};
 
 /// Outbox high-watermark: a worker pushing response lines blocks once
@@ -402,10 +404,50 @@ fn pump_write(conn: &mut Conn) -> bool {
     }
 }
 
+/// Hands one heavy request to a new worker thread that owns the
+/// connection's worker slot until it ends.
+fn spawn_worker(state: &Arc<ServeState>, conn: &mut Conn, wake: &Arc<WakePipe>, req: Request) {
+    conn.busy.store(true, Ordering::SeqCst);
+    let state = Arc::clone(state);
+    let version = conn.session.version();
+    let outbox = Arc::clone(&conn.outbox);
+    let busy = Arc::clone(&conn.busy);
+    let wake = Arc::clone(wake);
+    let spawned = std::thread::Builder::new()
+        .name("serve-worker".to_string())
+        .spawn(move || {
+            let mut slot = WorkerSlot {
+                busy,
+                outbox: Arc::clone(&outbox),
+                wake: Arc::clone(&wake),
+                completed: false,
+            };
+            dispatch_heavy(&state, version, req, &mut |j| {
+                outbox.push(line_bytes(&j));
+                wake.wake();
+            });
+            slot.completed = true;
+        });
+    if let Err(e) = spawned {
+        conn.busy.store(false, Ordering::SeqCst);
+        let resp = crate::protocol::Response::Error {
+            id: None,
+            err: crate::protocol::ProtocolError::new(
+                crate::protocol::ErrorKind::Internal,
+                format!("spawning worker: {e}"),
+            ),
+        }
+        .to_json();
+        conn.outbox.push(line_bytes(&resp));
+    }
+}
+
 /// Dispatches buffered lines in order until a heavy op takes the
 /// connection's worker slot, the outbox passes the watermark, or the
-/// buffer runs dry. Returns true if the whole server should shut
-/// down once this connection's output is flushed.
+/// buffer runs dry. A `run` whose every cell is stored is answered
+/// here on the loop thread; any other heavy op goes to a worker.
+/// Returns true if the whole server should shut down once this
+/// connection's output is flushed.
 fn dispatch_pending(state: &Arc<ServeState>, conn: &mut Conn, wake: &Arc<WakePipe>) -> bool {
     while !conn.busy.load(Ordering::SeqCst)
         && !conn.dead
@@ -434,59 +476,36 @@ fn dispatch_pending(state: &Arc<ServeState>, conn: &mut Conn, wake: &Arc<WakePip
                         .to_json();
                         conn.outbox.push(line_bytes(&resp));
                     }
-                    Ok(req) => match req.op {
-                        Op::Run(_) | Op::Batch(_) | Op::Cursor { .. } => {
-                            conn.busy.store(true, Ordering::SeqCst);
-                            let state = Arc::clone(state);
+                    Ok(req) => {
+                        if let Op::Run(spec) = &req.op {
                             let version = conn.session.version();
-                            let outbox = Arc::clone(&conn.outbox);
-                            let busy = Arc::clone(&conn.busy);
-                            let wake = Arc::clone(wake);
-                            let spawned = std::thread::Builder::new()
-                                .name("serve-worker".to_string())
-                                .spawn(move || {
-                                    let mut slot = WorkerSlot {
-                                        busy,
-                                        outbox: Arc::clone(&outbox),
-                                        wake: Arc::clone(&wake),
-                                        completed: false,
-                                    };
-                                    dispatch_heavy(&state, version, req, &mut |j| {
-                                        outbox.push(line_bytes(&j));
-                                        wake.wake();
-                                    });
-                                    slot.completed = true;
-                                });
-                            if let Err(e) = spawned {
-                                conn.busy.store(false, Ordering::SeqCst);
-                                let resp = crate::protocol::Response::Error {
-                                    id: None,
-                                    err: crate::protocol::ProtocolError::new(
-                                        crate::protocol::ErrorKind::Internal,
-                                        format!("spawning worker: {e}"),
-                                    ),
-                                }
-                                .to_json();
+                            if let Some(resp) = state.run_cached(req.id, spec, version) {
                                 conn.outbox.push(line_bytes(&resp));
-                            }
-                            // One heavy op in flight per connection:
-                            // later lines wait so responses stay in
-                            // request order.
-                            return false;
-                        }
-                        _ => {
-                            let mut sess = conn.session;
-                            let outbox = Arc::clone(&conn.outbox);
-                            let shutdown = state.handle_request(&mut sess, req, &mut |j| {
-                                outbox.push(line_bytes(&j));
-                            });
-                            conn.session = sess;
-                            if shutdown {
-                                conn.initiated_shutdown = true;
-                                return true;
+                                continue;
                             }
                         }
-                    },
+                        match req.op {
+                            Op::Run(_) | Op::Batch(_) | Op::Cursor { .. } => {
+                                spawn_worker(state, conn, wake, req);
+                                // One heavy op in flight per connection:
+                                // later lines wait so responses stay in
+                                // request order.
+                                return false;
+                            }
+                            _ => {
+                                let mut sess = conn.session;
+                                let outbox = Arc::clone(&conn.outbox);
+                                let shutdown = state.handle_request(&mut sess, req, &mut |j| {
+                                    outbox.push(line_bytes(&j));
+                                });
+                                conn.session = sess;
+                                if shutdown {
+                                    conn.initiated_shutdown = true;
+                                    return true;
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -10,8 +10,12 @@
 //! failure becomes a typed error response, and only transport I/O
 //! errors — the peer vanishing — end a connection.
 //!
-//! `run` and `batch` requests fan their `caches` × `clusters`
-//! matrices onto the existing work-stealing pool
+//! A `run` whose every cell is already stored is answered from the
+//! result store alone ([`ResultStore::serve_cached`]), with no trace
+//! lookup and no pool; this is the first step of every `run`, so the
+//! event loop can take it on its own thread and the blocking
+//! transports take it too. Any other `run`, and every `batch`, fans
+//! its `caches` × `clusters` matrix onto the work-stealing pool
 //! ([`cluster_study::parallel::run_items`]); `cursor` requests use
 //! [`cluster_study::parallel::run_items_streamed`] so every finished
 //! cell is emitted the moment it (and everything before it) is done.
@@ -23,6 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use cluster_study::apps::FIG2_APPS;
 use cluster_study::manifest::{RunRecord, ServedBy};
 use cluster_study::parallel::{run_items, run_items_streamed, RunStatus};
 use cluster_study::run_cell;
@@ -419,7 +424,8 @@ impl ServeState {
     ) -> Result<CellResult, String> {
         let label = cache.label();
         let key = self.store.key(&spec.app, size, spec.procs, &label, cluster);
-        self.store
+        let (cell, hit) = self
+            .store
             .serve_cell(&key, size, spec.procs, || {
                 let start = Instant::now();
                 let (stats, _) = run_cell(trace, cluster, cache, None)
@@ -439,30 +445,46 @@ impl ServeState {
                     sampling: None,
                 }
             })
-            .map(|(cell, hit)| {
-                let journal = with_journal.then(|| cell.to_json());
-                let served_by = if hit { ServedBy::Cache } else { ServedBy::Sim };
-                let rec = RunRecord {
-                    app: cell.app,
-                    cache: cell.cache,
-                    cluster: cell.cluster,
-                    stats: cell.stats,
-                    wall: cell.wall,
-                    status: cell.status,
-                    attempts: cell.attempts,
-                    served_by,
-                    sampling: cell.sampling,
-                };
-                let mut out = CellResult::new(label.clone(), cluster, key, rec.to_json(false));
-                if hit {
-                    out = out.served_from_cache();
-                }
-                if let Some(j) = journal {
-                    out = out.with_journal(j);
-                }
-                out
+            .map_err(|e| e.to_string())?;
+        Ok(cell_result(label, cluster, key, cell, hit, with_journal))
+    }
+
+    /// The whole `run` response straight from the result store, or
+    /// `None` when some cell is missing (or the app is unknown) and
+    /// the request needs the trace store and a simulation. Touches
+    /// neither the trace store nor the pool.
+    fn cached_run(&self, id: Option<u64>, spec: &JobSpec) -> Option<Json> {
+        // Unknown apps answer `unknown_app` on the full path, even if
+        // a store file holds cells under that name.
+        if !FIG2_APPS.contains(&spec.app.as_str()) {
+            return None;
+        }
+        let size = size_label(spec.size);
+        let (cells, keys): (Vec<(String, u32)>, Vec<String>) = Self::cell_items(spec)
+            .into_iter()
+            .map(|(cache, cluster)| {
+                let label = cache.label();
+                let key = self.store.key(&spec.app, size, spec.procs, &label, cluster);
+                ((label, cluster), key)
             })
-            .map_err(|e| e.to_string())
+            .unzip();
+        let stored = self.store.serve_cached(&keys)?;
+        let cells = cells
+            .into_iter()
+            .zip(keys)
+            .zip(stored)
+            .map(|(((label, cluster), key), cell)| {
+                cell_result(label, cluster, key, cell, true, false)
+            })
+            .collect();
+        Some(
+            Response::Run {
+                id,
+                app: spec.app.clone(),
+                cells,
+            }
+            .to_json(),
+        )
     }
 
     /// Runs one spec's full matrix on the pool; the shared body of
@@ -484,11 +506,17 @@ impl ServeState {
         Ok(cells)
     }
 
+    /// Answers a `run` under one queue slot: from the store alone when
+    /// every cell is there, otherwise through the trace store and the
+    /// pool.
     fn run_json(&self, id: Option<u64>, spec: &JobSpec, version: ProtoVersion) -> Json {
         let _slot = match self.acquire_slot(version) {
             Ok(s) => s,
             Err(e) => return Response::Error { id, err: e }.to_json(),
         };
+        if let Some(resp) = self.cached_run(id, spec) {
+            return resp;
+        }
         match self.run_cells(spec) {
             Ok(cells) => Response::Run {
                 id,
@@ -498,6 +526,23 @@ impl ServeState {
             .to_json(),
             Err(e) => Response::Error { id, err: e }.to_json(),
         }
+    }
+
+    /// The first step of [`ServeState::run_json`] alone, for a caller
+    /// that must not block: the response when the queue is full or
+    /// every cell is stored, `None` when the request needs a worker.
+    /// The slot is taken and released exactly as on the full path.
+    pub(crate) fn run_cached(
+        &self,
+        id: Option<u64>,
+        spec: &JobSpec,
+        version: ProtoVersion,
+    ) -> Option<Json> {
+        let _slot = match self.acquire_slot(version) {
+            Ok(s) => s,
+            Err(e) => return Some(Response::Error { id, err: e }.to_json()),
+        };
+        self.cached_run(id, spec)
     }
 
     /// Runs every spec of a batch under one queue slot. The batch is
@@ -631,10 +676,44 @@ impl ServeState {
     }
 }
 
+/// The response-side [`CellResult`] of one served cell, with the
+/// manifest's deterministic stats view and, when `with_journal`, the
+/// full journal document.
+fn cell_result(
+    label: String,
+    cluster: u32,
+    key: String,
+    cell: JournalEntry,
+    hit: bool,
+    with_journal: bool,
+) -> CellResult {
+    let journal = with_journal.then(|| cell.to_json());
+    let rec = RunRecord {
+        app: cell.app,
+        cache: cell.cache,
+        cluster: cell.cluster,
+        stats: cell.stats,
+        wall: cell.wall,
+        status: cell.status,
+        attempts: cell.attempts,
+        served_by: if hit { ServedBy::Cache } else { ServedBy::Sim },
+        sampling: cell.sampling,
+    };
+    let mut out = CellResult::new(label, cluster, key, rec.to_json(false));
+    if hit {
+        out = out.served_from_cache();
+    }
+    if let Some(j) = journal {
+        out = out.with_journal(j);
+    }
+    out
+}
+
 /// Dispatches one already-parsed heavy request (`run`/`batch`/
 /// `cursor`) against a pinned session version, emitting response
 /// lines through `emit`. The event loop's worker threads call this;
-/// `hello`/`ping`/`stats`/`shutdown` stay on the loop thread.
+/// `hello`/`ping`/`stats`/`shutdown` and fully cached `run`s stay on
+/// the loop thread.
 pub fn dispatch_heavy(
     state: &Arc<ServeState>,
     version: ProtoVersion,

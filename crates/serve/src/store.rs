@@ -732,6 +732,43 @@ impl ResultStore {
         Ok((entry.cell, false))
     }
 
+    /// Serves every key from the store, or none of them. When all are
+    /// present it counts one hit per key (a repeated key counts again)
+    /// and refreshes each one's eviction age, as
+    /// [`ResultStore::serve_cell`] does for a hit. When any is absent,
+    /// a key still in flight included, it counts nothing and returns
+    /// `None`. The shards involved are locked together in index order,
+    /// so the check and the hits are one step; no other path holds two
+    /// shard locks, so this cannot deadlock.
+    pub fn serve_cached(&self, keys: &[String]) -> Option<Vec<JournalEntry>> {
+        let route: Vec<usize> = keys
+            .iter()
+            .map(|k| shard_of(k, self.shards.len()))
+            .collect();
+        let mut held = route.clone();
+        held.sort_unstable();
+        held.dedup();
+        let mut guards: Vec<MutexGuard<'_, ShardInner>> =
+            held.iter().map(|&i| lock(&self.shards[i].inner)).collect();
+        let mut at = Vec::with_capacity(keys.len());
+        for (key, shard) in keys.iter().zip(&route) {
+            let g = held.binary_search(shard).ok()?;
+            if !guards[g].map.contains_key(key) {
+                return None;
+            }
+            at.push(g);
+        }
+        let mut cells = Vec::with_capacity(keys.len());
+        for (key, g) in keys.iter().zip(at) {
+            let inner = &mut *guards[g];
+            let slot = inner.map.get_mut(key)?;
+            slot.last_served = self.clock.fetch_add(1, Ordering::Relaxed);
+            cells.push(slot.entry.cell.clone());
+            inner.hits += 1;
+        }
+        Some(cells)
+    }
+
     /// Records an externally computed cell (the `--cache` client path)
     /// if the key is absent. Returns whether the entry was appended.
     pub fn record(

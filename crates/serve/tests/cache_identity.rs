@@ -297,6 +297,52 @@ fn served_cells_match_direct_study_runs_byte_for_byte() {
     );
 }
 
+/// A warm store reopened under a fresh server answers a fully cached
+/// `run` from the store alone. The response is byte-identical (apart
+/// from its `id`) to the one the old server gave for the same cached
+/// request, and the new server neither generates nor looks up a trace.
+#[test]
+fn warm_restart_answers_a_cached_run_without_its_trace() {
+    let dir = tmp_dir("warm-restart");
+    let opts = ServeOptions {
+        jobs: 2,
+        max_line: 1 << 16,
+        queue: 2,
+        op_budget: 256,
+    };
+    let run = |id: u64| {
+        format!(
+            "{{\"op\":\"run\",\"id\":{id},\"spec\":{{\"app\":\"lu\",\"procs\":8,\"caches\":[\"inf\",\"4k\"],\"clusters\":[1,2,4]}}}}\n"
+        )
+    };
+    let st = ServeState::new(ResultStore::open(&dir).expect("open store"), opts);
+    let cold = drive(&st, &run(1));
+    assert_eq!(
+        cold[0].get("sims").and_then(Json::as_u64),
+        Some(6),
+        "{}",
+        cold[0]
+    );
+    let before = drive(&st, &run(2));
+    assert_eq!(before[0].get("cache_hits").and_then(Json::as_u64), Some(6));
+    drop(st);
+
+    let st = ServeState::new(ResultStore::open(&dir).expect("reopen store"), opts);
+    let after = drive(&st, &run(2));
+    assert_eq!(
+        after[0].to_string(),
+        before[0].to_string(),
+        "a cached run must not change a byte across a restart"
+    );
+    let stats = st.stats();
+    assert_eq!(stats.trace_gens, 0, "a cached run generates no trace");
+    assert_eq!(stats.trace_hits, 0, "a cached run looks no trace up");
+    assert_eq!(stats.sims_run, 0);
+    assert_eq!(stats.cache_hits, 6);
+    assert_eq!(stats.cells_served, 6);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn full_keys_never_collide_across_the_study_matrix() {
     let mut seen = std::collections::HashMap::new();

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use cluster_serve::store::{cell_key, ResultStore};
 use cluster_serve::{
-    scan_store_dir, serve_connection, serve_poll, ServeClient, ServeOptions, ServeState,
+    scan_store_dir, serve_connection, serve_poll, ServeClient, ServeOptions, ServeState, Session,
     KILL_EXIT_CODE,
 };
 use cluster_study::parallel::RunStatus;
@@ -352,7 +352,11 @@ fn start_poll_server(
     dir: &std::path::Path,
     op_budget: usize,
 ) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let state = Arc::new(ServeState::new(
+    start_poll_state(poll_state(dir, op_budget))
+}
+
+fn poll_state(dir: &std::path::Path, op_budget: usize) -> Arc<ServeState> {
+    Arc::new(ServeState::new(
         ResultStore::open(dir).expect("open store"),
         ServeOptions {
             jobs: 1,
@@ -360,7 +364,13 @@ fn start_poll_server(
             queue: 8,
             op_budget,
         },
-    ));
+    ))
+}
+
+/// Boots the poll loop over `state` on an ephemeral port.
+fn start_poll_state(
+    state: Arc<ServeState>,
+) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr").to_string();
     let handle = std::thread::spawn(move || serve_poll(&state, listener));
@@ -422,6 +432,119 @@ fn pipelined_runs_behind_a_busy_slot_are_all_answered_in_order() {
     }
     drop(reader);
     drop(stream);
+    stop_poll_server(&addr, handle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn run_line(id: u64, app: &str, procs: usize, clusters: &str) -> String {
+    format!(
+        "{{\"op\":\"run\",\"id\":{id},\"spec\":{{\"app\":\"{app}\",\"procs\":{procs},\"caches\":[\"inf\",\"4k\"],\"clusters\":[{clusters}]}}}}"
+    )
+}
+
+/// Reads one response line as the exact bytes the server sent.
+fn read_raw(reader: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    let n = reader
+        .read_line(&mut line)
+        .expect("response within the read timeout (a lost wakeup?)");
+    assert!(n > 0, "early EOF");
+    line.trim_end().to_string()
+}
+
+/// The event loop answers a fully cached `run` on its own thread. Its
+/// lines must be the bytes `handle_line_session` gives for the same
+/// request on a v1 and a v2 session. A partly cached spec must go to
+/// the worker, which looks the trace up and counts each cell once,
+/// and lines pipelined behind a slow uncached run keep their order.
+#[test]
+fn cached_runs_on_the_loop_thread_match_the_session_path() {
+    let dir = tmp_dir("loop-cached");
+    let state = poll_state(&dir, 256);
+    let (addr, handle) = start_poll_state(Arc::clone(&state));
+    let hello = "{\"op\":\"hello\",\"id\":1,\"schema\":\"clustered-smp/serve/v2\"}";
+
+    // Warm four cells: lu at 4 processors, both caches, clusters 1 and 2.
+    let (mut v1, mut v1_reader) = raw_client(&addr);
+    v1.write_all(format!("{}\n", run_line(2, "lu", 4, "1,2")).as_bytes())
+        .expect("write");
+    let cold = read_json(&mut v1_reader);
+    assert_eq!(cold.get("sims").and_then(Json::as_u64), Some(4), "{cold}");
+
+    // Fully cached, on a v1 and on a v2 connection.
+    let (mut v2, mut v2_reader) = raw_client(&addr);
+    v2.write_all(format!("{hello}\n").as_bytes())
+        .expect("write");
+    let hello_resp = read_raw(&mut v2_reader);
+    let cached = run_line(3, "lu", 4, "1,2");
+    let before = state.stats();
+    v1.write_all(format!("{cached}\n").as_bytes())
+        .expect("write");
+    let v1_line = read_raw(&mut v1_reader);
+    v2.write_all(format!("{cached}\n").as_bytes())
+        .expect("write");
+    let v2_line = read_raw(&mut v2_reader);
+    let after = state.stats();
+    assert_eq!(after.cache_hits - before.cache_hits, 8);
+    assert_eq!(after.sims_run, before.sims_run);
+    assert_eq!(
+        after.trace_hits, before.trace_hits,
+        "a fully cached run is answered without its trace"
+    );
+
+    let mut want = Vec::new();
+    let mut v1_sess = Session::new();
+    state.handle_line_session(&mut v1_sess, &cached, &mut |j| want.push(j.to_string()));
+    let mut v2_sess = Session::new();
+    state.handle_line_session(&mut v2_sess, hello, &mut |j| want.push(j.to_string()));
+    state.handle_line_session(&mut v2_sess, &cached, &mut |j| want.push(j.to_string()));
+    assert_eq!(want, [v1_line, hello_resp, v2_line]);
+
+    // Partly cached: clusters 1 and 2 are stored, 4 is not.
+    let before = state.stats();
+    v2.write_all(format!("{}\n", run_line(4, "lu", 4, "1,2,4")).as_bytes())
+        .expect("write");
+    let partial = read_json(&mut v2_reader);
+    assert_eq!(
+        partial.get("cache_hits").and_then(Json::as_u64),
+        Some(4),
+        "{partial}"
+    );
+    assert_eq!(
+        partial.get("sims").and_then(Json::as_u64),
+        Some(2),
+        "{partial}"
+    );
+    let after = state.stats();
+    let hits = after.cache_hits - before.cache_hits;
+    let sims = after.sims_run - before.sims_run;
+    let served = after.cells_served - before.cells_served;
+    assert_eq!((hits, sims), (4, 2), "each cell counts exactly once");
+    assert_eq!(hits + sims, served);
+    assert_eq!(served, 6);
+    assert_eq!(
+        after.trace_hits - before.trace_hits,
+        1,
+        "a partly cached run goes to the worker, which looks its trace up"
+    );
+
+    // Pipelined behind a slow uncached run: cached runs and a ping wait
+    // for its worker and come back in request order.
+    let mut burst = format!("{}\n", run_line(5, "fft", 8, "1,2,4,8"));
+    burst.push_str(&format!("{cached}\n").replace("\"id\":3", "\"id\":6"));
+    burst.push_str("{\"op\":\"ping\",\"id\":7}\n");
+    burst.push_str(&format!("{}\n", run_line(8, "lu", 4, "1,2,4")));
+    v1.write_all(burst.as_bytes()).expect("burst write");
+    for (id, sims) in [(5, Some(8)), (6, Some(0)), (7, None), (8, Some(0))] {
+        let j = read_json(&mut v1_reader);
+        assert_eq!(j.get("id").and_then(Json::as_u64), Some(id), "{j}");
+        assert_eq!(j.get("ok").and_then(Json::as_bool), Some(true), "{j}");
+        if sims.is_some() {
+            assert_eq!(j.get("sims").and_then(Json::as_u64), sims, "{j}");
+        }
+    }
+
+    drop((v1, v1_reader, v2, v2_reader));
     stop_poll_server(&addr, handle);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -342,7 +342,10 @@ fn stats_response_carries_every_counter() {
     assert_eq!(s.get("cells_served").and_then(Json::as_u64), Some(2));
     assert_eq!(s.get("cache_hits").and_then(Json::as_u64), Some(1));
     assert_eq!(s.get("sims_run").and_then(Json::as_u64), Some(1));
-    assert_eq!(s.get("trace_hits").and_then(Json::as_u64), Some(1));
+    // The second run is fully cached, so it is answered from the
+    // result store alone and never looks its trace up: only the first
+    // run's generation touches the trace store.
+    assert_eq!(s.get("trace_hits").and_then(Json::as_u64), Some(0));
     assert_eq!(s.get("trace_gens").and_then(Json::as_u64), Some(1));
     assert_eq!(s.get("store_entries").and_then(Json::as_u64), Some(1));
     std::fs::remove_dir_all(&dir).ok();
