@@ -16,8 +16,11 @@
 //! v1 baseline) proves resilience is not paid for in warm-path
 //! throughput.
 //!
-//! Reports cells/second for each shape, and the speedups, via
-//! `cluster_bench::timer` medians; `--emit-manifest`/`--out` records
+//! Each shape repeats its pass over one timed window (at least
+//! [`WINDOW`] and [`MIN_PASSES`] passes) and reports cells served over
+//! the window's elapsed time, so one scheduling stall weighs against
+//! the whole window rather than one 10–15 ms pass. The cells/second for each
+//! shape, and the speedups, go to stdout; `--emit-manifest`/`--out` records
 //! them as manifest metrics (`serve.v1_cells_per_sec`,
 //! `serve.v2_batch_cells_per_sec_32c`, `serve.speedup`,
 //! `serve.chaos_cells_per_sec`, `serve.chaos_speedup`) for CI to
@@ -25,8 +28,8 @@
 
 use std::net::TcpListener;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use cluster_bench::timer::bench;
 use cluster_bench::{Cli, Reporter};
 use cluster_serve::{serve_poll, ClientConfig, ResultStore, ServeClient, ServeOptions, ServeState};
 use cluster_study::apps::FIG2_APPS;
@@ -36,6 +39,12 @@ use simcore::Json;
 
 /// Concurrent v2 clients in the "after" measurement.
 const CLIENTS: usize = 32;
+
+/// Shortest timed window per client shape.
+const WINDOW: Duration = Duration::from_secs(1);
+
+/// Fewest passes per client shape, however long each pass takes.
+const MIN_PASSES: u64 = 3;
 
 fn fatal(msg: &str) -> ! {
     eprintln!("serve_soak: {msg}");
@@ -86,6 +95,65 @@ fn cells_in(resp: &Json) -> u64 {
         .and_then(Json::as_arr)
         .map(|c| c.len() as u64)
         .unwrap_or(0)
+}
+
+/// Repeats `pass` (which serves `cells` cells) until both [`WINDOW`]
+/// and [`MIN_PASSES`] have elapsed, and returns the cells served per
+/// second of the whole window.
+fn cells_per_sec(name: &str, cells: u64, mut pass: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    let mut passes = 0u64;
+    while passes < MIN_PASSES || start.elapsed() < WINDOW {
+        pass();
+        passes += 1;
+    }
+    let secs = start.elapsed().as_secs_f64();
+    let rate = (cells * passes) as f64 / secs;
+    println!("{name:<44} {passes:>4} passes in {secs:.2}s  {rate:>10.0} cells/s");
+    rate
+}
+
+/// One pass of [`CLIENTS`] concurrent v2 sessions, client `i`
+/// configured by `config(i)`, each batching the whole matrix of
+/// `specs` in one request line. Exits unless all `cells` cells are
+/// served.
+fn batch_pass(
+    what: &str,
+    addr: &str,
+    specs: &[Json],
+    cells: u64,
+    config: impl Fn(u64) -> ClientConfig,
+) {
+    let served: u64 = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..CLIENTS as u64)
+            .map(|i| {
+                let cfg = config(i);
+                scope.spawn(move || {
+                    let mut c = ServeClient::connect_with(addr, cfg)
+                        .unwrap_or_else(|e| fatal(&format!("{what} client: {e}")));
+                    c.hello_v2()
+                        .unwrap_or_else(|e| fatal(&format!("{what} hello: {e}")));
+                    let resp = c
+                        .batch(specs.to_vec())
+                        .unwrap_or_else(|e| fatal(&format!("{what} batch: {e}")));
+                    resp.get("jobs")
+                        .and_then(Json::as_arr)
+                        .map(|jobs| jobs.iter().map(cells_in).sum::<u64>())
+                        .unwrap_or(0)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| {
+                w.join()
+                    .unwrap_or_else(|_| fatal(&format!("{what} client panicked")))
+            })
+            .sum()
+    });
+    if served != cells {
+        fatal(&format!("{what} pass served {served} of {cells} cells"));
+    }
 }
 
 fn main() {
@@ -164,56 +232,37 @@ fn main() {
     // Before: one v1 client, one cell per request. No handshake — the
     // connection stays on the v1 compatibility surface.
     let singles = cell_specs(&apps, size, cli.procs);
-    let v1 = bench("serve.v1 single-cell requests (1 client)", 1, 3, || {
-        let mut c = ServeClient::connect(&addr)
-            .unwrap_or_else(|e| fatal(&format!("v1 client: connecting {addr}: {e}")));
-        let mut served = 0u64;
-        for spec in &singles {
-            let resp = c
-                .run(spec.clone())
-                .unwrap_or_else(|e| fatal(&format!("v1 run: {e}")));
-            served += cells_in(&resp);
-        }
-        if served != total_cells {
-            fatal(&format!("v1 pass served {served} of {total_cells} cells"));
-        }
-    });
+    let v1_cells_per_sec = cells_per_sec(
+        "serve.v1 single-cell requests (1 client)",
+        total_cells,
+        || {
+            let mut c = ServeClient::connect(&addr)
+                .unwrap_or_else(|e| fatal(&format!("v1 client: connecting {addr}: {e}")));
+            let mut served = 0u64;
+            for spec in &singles {
+                let resp = c
+                    .run(spec.clone())
+                    .unwrap_or_else(|e| fatal(&format!("v1 run: {e}")));
+                served += cells_in(&resp);
+            }
+            if served != total_cells {
+                fatal(&format!("v1 pass served {served} of {total_cells} cells"));
+            }
+        },
+    );
 
     // After: CLIENTS concurrent v2 sessions, each batching the whole
     // matrix in one request line.
-    let addr_ref: &str = &addr;
-    let specs_ref: &[Json] = &specs;
-    let v2 = bench("serve.v2 whole-matrix batch (32 clients)", 1, 3, || {
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..CLIENTS)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut c = ServeClient::connect(addr_ref)
-                            .unwrap_or_else(|e| fatal(&format!("v2 client: {e}")));
-                        c.hello_v2()
-                            .unwrap_or_else(|e| fatal(&format!("v2 hello: {e}")));
-                        let resp = c
-                            .batch(specs_ref.to_vec())
-                            .unwrap_or_else(|e| fatal(&format!("v2 batch: {e}")));
-                        resp.get("jobs")
-                            .and_then(Json::as_arr)
-                            .map(|jobs| jobs.iter().map(cells_in).sum::<u64>())
-                            .unwrap_or(0)
-                    })
-                })
-                .collect();
-            let served: u64 = workers
-                .into_iter()
-                .map(|w| w.join().unwrap_or_else(|_| fatal("v2 client panicked")))
-                .sum();
-            if served != total_cells * CLIENTS as u64 {
-                fatal(&format!(
-                    "v2 pass served {served} of {} cells",
-                    total_cells * CLIENTS as u64
-                ));
-            }
-        })
-    });
+    let matrix_cells = total_cells * CLIENTS as u64;
+    let v2_cells_per_sec = cells_per_sec(
+        "serve.v2 whole-matrix batch (32 clients)",
+        matrix_cells,
+        || {
+            batch_pass("v2", &addr, &specs, matrix_cells, |_| {
+                ClientConfig::default()
+            })
+        },
+    );
 
     // Chaos: the same 32-client whole-matrix workload with a 5%
     // mid-stream connection-drop plan armed (fixed seed, so every CI
@@ -225,44 +274,19 @@ fn main() {
         drop_rate: 0.05,
         ..IoFaultPlan::disabled()
     });
-    let chaos = bench("serve.v2 batch under 5% connection drops", 1, 3, || {
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..CLIENTS)
-                .map(|i| {
-                    scope.spawn(move || {
-                        let cfg = ClientConfig {
-                            retries: 8,
-                            backoff_base: std::time::Duration::from_millis(1),
-                            backoff_cap: std::time::Duration::from_millis(20),
-                            seed: i as u64,
-                            ..ClientConfig::default()
-                        };
-                        let mut c = ServeClient::connect_with(addr_ref, cfg)
-                            .unwrap_or_else(|e| fatal(&format!("chaos client: {e}")));
-                        c.hello_v2()
-                            .unwrap_or_else(|e| fatal(&format!("chaos hello: {e}")));
-                        let resp = c
-                            .batch(specs_ref.to_vec())
-                            .unwrap_or_else(|e| fatal(&format!("chaos batch: {e}")));
-                        resp.get("jobs")
-                            .and_then(Json::as_arr)
-                            .map(|jobs| jobs.iter().map(cells_in).sum::<u64>())
-                            .unwrap_or(0)
-                    })
-                })
-                .collect();
-            let served: u64 = workers
-                .into_iter()
-                .map(|w| w.join().unwrap_or_else(|_| fatal("chaos client panicked")))
-                .sum();
-            if served != total_cells * CLIENTS as u64 {
-                fatal(&format!(
-                    "chaos pass served {served} of {} cells",
-                    total_cells * CLIENTS as u64
-                ));
-            }
-        })
-    });
+    let chaos_cells_per_sec = cells_per_sec(
+        "serve.v2 batch under 5% connection drops",
+        matrix_cells,
+        || {
+            batch_pass("chaos", &addr, &specs, matrix_cells, |i| ClientConfig {
+                retries: 8,
+                backoff_base: Duration::from_millis(1),
+                backoff_cap: Duration::from_millis(20),
+                seed: i,
+                ..ClientConfig::default()
+            })
+        },
+    );
     let drops = state
         .chaos_counters()
         .drops
@@ -280,9 +304,6 @@ fn main() {
         Err(_) => fatal("event loop thread panicked"),
     }
 
-    let v1_cells_per_sec = total_cells as f64 / v1.median().as_secs_f64();
-    let v2_cells_per_sec = (total_cells * CLIENTS as u64) as f64 / v2.median().as_secs_f64();
-    let chaos_cells_per_sec = (total_cells * CLIENTS as u64) as f64 / chaos.median().as_secs_f64();
     let speedup = v2_cells_per_sec / v1_cells_per_sec;
     let chaos_speedup = chaos_cells_per_sec / v1_cells_per_sec;
     println!(

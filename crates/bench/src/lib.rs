@@ -1,9 +1,8 @@
-//! The benchmark harness behind `paper_run` and `serve_soak`: CLI
+//! The study drivers behind `paper_run` and `serve_soak`: CLI
 //! parsing, the paper's figure and table regenerators ([`figures`],
-//! selected with `paper_run --figure ID`), the manifest [`Reporter`],
-//! and a zero-dependency micro-bench timer (`cargo bench` previously
-//! used Criterion, which cannot be fetched in the offline hermetic
-//! build).
+//! selected with `paper_run --figure ID`), the sampled-vs-full
+//! validation ([`sampling`]) and the manifest [`Reporter`]. Host-time
+//! benchmarks live in the standalone `perfbench` package.
 
 use std::path::PathBuf;
 
@@ -21,7 +20,6 @@ use std::time::Duration;
 
 pub mod figures;
 pub mod sampling;
-pub mod timer;
 
 /// Output format for the machine-readable artifact. Text (the
 /// human-readable tables) is always printed to stdout regardless.

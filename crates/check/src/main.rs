@@ -32,8 +32,10 @@
 //! has its own CI job). Every mode exits non-zero on any violation or
 //! finding.
 
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 use cluster_check::lint::lint_workspace;
 use cluster_check::model::{explore, random_walks, ModelConfig};
@@ -317,25 +319,34 @@ fn run_certify(size: ProblemSize, procs: usize, out: Option<&str>) -> bool {
         }
     }
     // Observation overhead on a representative configuration (mp3d is
-    // the heaviest sharer): observed replay + shadow checks vs the
-    // plain replay, medians of three. Budget: ≤ 2×.
-    let overhead_ratio = {
-        let trace = splash::by_name("mp3d", size)
-            .map(|a| a.generate(procs))
-            .unwrap_or_else(|| apps[0].generate(procs));
-        let machine = MachineConfig {
-            n_procs: procs as u32,
-            per_cluster: 4,
-            cache: CacheSpec::PerProcBytes(4096),
-            lat: LatencyTable::paper(),
-        };
-        let plain = cluster_bench::timer::bench("replay", 1, 3, || {
-            tango::try_run_with(&trace, machine, EngineOptions::default())
-        });
-        let observed = cluster_bench::timer::bench("observed", 1, 3, || {
-            certify::certify_trace(&trace, machine)
-        });
-        observed.median().as_secs_f64() / plain.median().as_secs_f64().max(1e-9)
+    // the heaviest sharer, in the largest cluster size `procs` allows):
+    // observed replay + shadow checks vs the plain replay, medians of
+    // three. Budget: ≤ 2×. A replay that fails is a certify failure,
+    // never a ratio.
+    let trace = splash::by_name("mp3d", size)
+        .map(|a| a.generate(procs))
+        .unwrap_or_else(|| apps[0].generate(procs));
+    let machine = MachineConfig {
+        n_procs: procs as u32,
+        per_cluster: CLUSTER_SIZES
+            .into_iter()
+            .filter(|&c| (procs as u32).is_multiple_of(c))
+            .max()
+            .unwrap_or(1),
+        cache: CacheSpec::PerProcBytes(4096),
+        lat: LatencyTable::paper(),
+    };
+    let plain = median_of_three(|| {
+        tango::try_run_with(&trace, machine, EngineOptions::default()).map_err(|e| e.to_string())
+    });
+    let observed = median_of_three(|| certify::certify_trace(&trace, machine));
+    let overhead_ratio = match (plain, observed) {
+        (Ok(plain), Ok(observed)) => observed.as_secs_f64() / plain.as_secs_f64().max(1e-9),
+        (Err(e), _) | (_, Err(e)) => {
+            println!("certify: overhead replay failed: {e}");
+            ok = false;
+            f64::NAN
+        }
     };
     manifest.set_certification(CertificationSummary {
         race_checked,
@@ -360,6 +371,20 @@ fn run_certify(size: ProblemSize, procs: usize, out: Option<&str>) -> bool {
         println!("certify: manifest written to {path}");
     }
     ok
+}
+
+/// Wall time of one call to `f`: the median of three timed calls
+/// after one untimed warm-up. The first `Err` ends the measurement.
+fn median_of_three<T>(mut f: impl FnMut() -> Result<T, String>) -> Result<Duration, String> {
+    black_box(f()?);
+    let mut times = [Duration::ZERO; 3];
+    for t in &mut times {
+        let start = Instant::now();
+        black_box(f()?);
+        *t = start.elapsed();
+    }
+    times.sort_unstable();
+    Ok(times[1])
 }
 
 /// The workspace root: `--root` if given, else the manifest dir's

@@ -342,7 +342,6 @@ fn pump_read(conn: &mut Conn) -> bool {
                         LineRead::Oversized { length } => {
                             conn.pending.push_back(Pending::Oversized(length))
                         }
-                        LineRead::Eof => {}
                     }
                 }
                 return true;
@@ -355,7 +354,6 @@ fn pump_read(conn: &mut Conn) -> bool {
                         LineRead::Oversized { length } => {
                             conn.pending.push_back(Pending::Oversized(length))
                         }
-                        LineRead::Eof => {}
                     }
                 }
                 // Don't monopolize the loop on one chatty peer.

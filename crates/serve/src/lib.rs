@@ -13,9 +13,9 @@
 //!
 //! * [`protocol`] — the line-delimited JSON request/response surface
 //!   (v1 and the negotiated `clustered-smp/serve/v2`), strict
-//!   parsing, the [`protocol::Response`] enum, typed error kinds,
-//!   bounded line reading for blocking ([`protocol::read_bounded_line`])
-//!   and nonblocking ([`protocol::LineAccum`]) transports.
+//!   parsing, the [`protocol::Response`] enum, typed error kinds, and
+//!   the bounded line reader ([`protocol::LineAccum`]) every transport
+//!   cuts requests with.
 //! * [`store`] — the sharded content-addressed [`store::ResultStore`]
 //!   (JSONL shards, torn-tail recovery, per-shard single-flight,
 //!   LRU-by-last-served eviction with journal-rewrite compaction)
@@ -29,9 +29,10 @@
 //!   `poll(2)`, woken by socket readiness or by a worker through a
 //!   wake pipe, never on a timer.
 //! * [`client`] — a typed TCP client ([`client::ServeClient`]) used
-//!   by `paper_run --serve`, the soak harness, and the test suites,
-//!   with socket deadlines, seeded-jitter retry, transparent
-//!   reconnect, and cursor resume ([`client::ClientConfig`]).
+//!   by the `serve_soak` throughput harness, `perfbench`'s serve
+//!   workloads and the test suites, with socket deadlines,
+//!   seeded-jitter retry, transparent reconnect, and cursor resume
+//!   ([`client::ClientConfig`]).
 //! * [`chaos`] — deterministic socket-level fault injection
 //!   ([`chaos::ChaosStream`]) driven by `simcore`'s seeded
 //!   [`simcore::fault::IoFaultPlan`] (`SERVE_FAULT_*`).

@@ -10,6 +10,7 @@
 //! which the concurrency suite uses to prove restart recovery.
 
 use std::io::BufWriter;
+use std::os::unix::fs::FileTypeExt;
 use std::sync::Arc;
 
 use cluster_serve::event_loop::serve_poll;
@@ -201,7 +202,15 @@ fn run(argv: &[String]) -> Result<(), String> {
         }
         serve_poll(&Arc::new(state), listener).map_err(|e| format!("event loop: {e}"))
     } else if let Some(path) = &args.socket {
-        let _ = std::fs::remove_file(path);
+        // Clear a stale socket from an earlier run, but never delete
+        // anything else that happens to sit at PATH.
+        match std::fs::symlink_metadata(path) {
+            Ok(meta) if meta.file_type().is_socket() => {
+                std::fs::remove_file(path).map_err(|e| format!("removing {path}: {e}"))?
+            }
+            Ok(_) => return Err(format!("{path} exists and is not a socket")),
+            Err(_) => {}
+        }
         let listener = std::os::unix::net::UnixListener::bind(path)
             .map_err(|e| format!("binding {path}: {e}"))?;
         eprintln!("cluster_serve: listening on {path}");

@@ -23,7 +23,7 @@
 //! (`crates/serve/tests/protocol.rs`) so the two cannot drift apart
 //! silently.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 use coherence::config::CacheSpec;
 use coherence::{LatencyTable, MachineConfig};
@@ -854,7 +854,7 @@ impl Response {
     }
 }
 
-/// One read from the request stream.
+/// One line event from the request stream.
 #[derive(Debug, PartialEq, Eq)]
 pub enum LineRead {
     /// A complete line (newline stripped; one trailing `\r` is also
@@ -868,8 +868,6 @@ pub enum LineRead {
         /// Bytes the line held before the terminator.
         length: usize,
     },
-    /// End of stream.
-    Eof,
 }
 
 fn finish_line(buf: &mut Vec<u8>) -> LineRead {
@@ -879,14 +877,16 @@ fn finish_line(buf: &mut Vec<u8>) -> LineRead {
     LineRead::Line(String::from_utf8_lossy(buf).into_owned())
 }
 
-/// Incremental line accumulator for nonblocking transports.
+/// Incremental, byte-capped line accumulator.
 ///
-/// The poll loop feeds whatever bytes a readiness wakeup produced;
-/// complete lines come out as [`LineRead`] events with exactly the
-/// [`read_bounded_line`] semantics (byte cap counted before the
-/// newline, CRLF stripped, oversized lines swallowed until their
-/// terminating newline so the stream never desyncs). Partial lines
-/// persist across `feed` calls until their newline arrives.
+/// The one line reader of every transport: the poll loop feeds
+/// whatever bytes a readiness wakeup produced, and the blocking
+/// [`crate::server::serve_connection`] feeds each `fill_buf` chunk.
+/// Complete lines come out as [`LineRead`] events: the byte cap is
+/// counted before the newline, invalid UTF-8 is replaced, one
+/// trailing `\r` is stripped, and oversized lines are swallowed until
+/// their terminating newline so the stream never desyncs. Partial
+/// lines persist across `feed` calls until their newline arrives.
 #[derive(Debug)]
 pub struct LineAccum {
     max: usize,
@@ -907,7 +907,7 @@ impl LineAccum {
     }
 
     /// Consumes one chunk of stream bytes, returning every line event
-    /// it completes (never [`LineRead::Eof`]).
+    /// it completes.
     pub fn feed(&mut self, chunk: &[u8]) -> Vec<LineRead> {
         let mut out = Vec::new();
         for &b in chunk {
@@ -953,52 +953,6 @@ impl LineAccum {
     /// True when no partial line is pending.
     pub fn is_empty(&self) -> bool {
         self.total == 0
-    }
-}
-
-/// Reads one `\n`-terminated line, holding at most `max` bytes in
-/// memory. Invalid UTF-8 is replaced, never fatal. One trailing `\r`
-/// is stripped.
-pub fn read_bounded_line(r: &mut dyn BufRead, max: usize) -> std::io::Result<LineRead> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut total = 0usize;
-    let mut overflow = false;
-    loop {
-        let chunk = r.fill_buf()?;
-        if chunk.is_empty() {
-            return Ok(if overflow {
-                LineRead::Oversized { length: total }
-            } else if buf.is_empty() && total == 0 {
-                LineRead::Eof
-            } else {
-                finish_line(&mut buf)
-            });
-        }
-        if let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
-            if !overflow {
-                buf.extend_from_slice(&chunk[..pos]);
-            }
-            total += pos;
-            r.consume(pos + 1);
-            if total > max {
-                overflow = true;
-            }
-            return Ok(if overflow {
-                LineRead::Oversized { length: total }
-            } else {
-                finish_line(&mut buf)
-            });
-        }
-        let n = chunk.len();
-        if !overflow {
-            buf.extend_from_slice(chunk);
-        }
-        total += n;
-        r.consume(n);
-        if total > max {
-            overflow = true;
-            buf = Vec::new();
-        }
     }
 }
 

@@ -39,8 +39,8 @@ use simcore::Json;
 
 use crate::chaos::ChaosCounters;
 use crate::protocol::{
-    parse_request, read_bounded_line, write_response, BatchJob, CellResult, ErrorKind, JobSpec,
-    LineRead, Op, ProtoVersion, ProtocolError, Request, Response, ServeStats, DEFAULT_MAX_LINE,
+    parse_request, write_response, BatchJob, CellResult, ErrorKind, JobSpec, LineAccum, LineRead,
+    Op, ProtoVersion, ProtocolError, Request, Response, ServeStats, DEFAULT_MAX_LINE,
     PROTOCOL_SCHEMA_V2,
 };
 use crate::store::{size_label, ResultStore, TraceStore};
@@ -733,6 +733,7 @@ pub fn lenient_id(line: &str) -> Option<u64> {
 }
 
 /// Drives one request stream to completion on a blocking transport.
+/// Lines are cut by the same [`LineAccum`] the poll loop feeds.
 /// Responses (including incremental `cursor` lines) are written and
 /// flushed as they are produced. Returns `Ok(true)` when the peer
 /// asked for an orderly shutdown, `Ok(false)` on EOF.
@@ -742,32 +743,45 @@ pub fn serve_connection(
     w: &mut dyn Write,
 ) -> std::io::Result<bool> {
     let mut sess = Session::new();
+    let mut accum = LineAccum::new(state.opts.max_line);
     loop {
-        match read_bounded_line(r, state.opts.max_line)? {
-            LineRead::Eof => return Ok(false),
-            LineRead::Oversized { length } => {
-                state.note_request();
-                write_response(w, &state.oversized(length))?;
-            }
-            LineRead::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
+        let chunk = r.fill_buf()?;
+        let n = chunk.len();
+        let events = if n == 0 {
+            accum.finish().into_iter().collect()
+        } else {
+            accum.feed(chunk)
+        };
+        r.consume(n);
+        for ev in events {
+            match ev {
+                LineRead::Oversized { length } => {
+                    state.note_request();
+                    write_response(w, &state.oversized(length))?;
                 }
-                let mut io_err: Option<std::io::Error> = None;
-                let shutdown = state.handle_line_session(&mut sess, &line, &mut |j| {
-                    if io_err.is_none() {
-                        if let Err(e) = write_response(w, &j) {
-                            io_err = Some(e);
-                        }
+                LineRead::Line(line) => {
+                    if line.trim().is_empty() {
+                        continue;
                     }
-                });
-                if let Some(e) = io_err {
-                    return Err(e);
-                }
-                if shutdown {
-                    return Ok(true);
+                    let mut io_err: Option<std::io::Error> = None;
+                    let shutdown = state.handle_line_session(&mut sess, &line, &mut |j| {
+                        if io_err.is_none() {
+                            if let Err(e) = write_response(w, &j) {
+                                io_err = Some(e);
+                            }
+                        }
+                    });
+                    if let Some(e) = io_err {
+                        return Err(e);
+                    }
+                    if shutdown {
+                        return Ok(true);
+                    }
                 }
             }
+        }
+        if n == 0 {
+            return Ok(false);
         }
     }
 }

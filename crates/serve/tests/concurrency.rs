@@ -764,3 +764,116 @@ fn a_peer_that_vanishes_mid_stream_frees_its_worker_and_idles_the_loop() {
     drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `cluster_serve --store STORE --socket PATH`, killed when dropped.
+fn socket_server(store: &std::path::Path, path: &std::path::Path) -> ServeChild {
+    ServeChild(
+        Command::new(env!("CARGO_BIN_EXE_cluster_serve"))
+            .arg("--store")
+            .arg(store)
+            .args(["--jobs", "1", "--socket"])
+            .arg(path)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn cluster_serve"),
+    )
+}
+
+/// The server's exit status, or a test failure after 20 s.
+fn exit_status(server: &mut ServeChild) -> std::process::ExitStatus {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        if let Some(status) = server.0.try_wait().expect("try_wait") {
+            return status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "cluster_serve still running after 20 s"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// The Unix transport refuses to replace anything but a stale socket,
+/// and over a fresh path answers the exact bytes `serve_connection`
+/// gives for the same lines.
+#[test]
+#[cfg(unix)]
+fn unix_socket_transport_keeps_non_sockets_and_matches_serve_connection() {
+    use std::io::Read as _;
+    use std::os::unix::net::UnixStream;
+
+    let dir = tmp_dir("unix-socket");
+    std::fs::create_dir_all(&dir).expect("test dir");
+
+    // A regular file at PATH: exit 2, the file untouched.
+    let precious = dir.join("precious");
+    std::fs::write(&precious, "precious").expect("write file");
+    let mut server = socket_server(&dir.join("store-file"), &precious);
+    let status = exit_status(&mut server);
+    let mut stderr = String::new();
+    server
+        .0
+        .stderr
+        .take()
+        .expect("stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    assert_eq!(status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("exists and is not a socket"),
+        "stderr: {stderr}"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&precious).expect("file still there"),
+        "precious"
+    );
+
+    // A fresh path: hello v2, one run, shutdown.
+    let input = format!(
+        "{{\"op\":\"hello\",\"id\":0,\"schema\":\"clustered-smp/serve/v2\"}}\n{RUN_REQ}{{\"op\":\"shutdown\"}}\n"
+    );
+    let sock = dir.join("serve.sock");
+    let mut server = socket_server(&dir.join("store-socket"), &sock);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let stream = loop {
+        match UnixStream::connect(&sock) {
+            Ok(s) => break s,
+            Err(e) => {
+                assert!(Instant::now() < deadline, "connect {}: {e}", sock.display());
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+    };
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    (&stream)
+        .write_all(input.as_bytes())
+        .expect("write requests");
+    let mut got = Vec::new();
+    (&stream)
+        .read_to_end(&mut got)
+        .expect("responses until the server exits");
+    assert!(exit_status(&mut server).success());
+
+    let state = ServeState::new(
+        ResultStore::open(&dir.join("store-direct")).expect("open store"),
+        ServeOptions {
+            jobs: 1,
+            ..ServeOptions::default()
+        },
+    );
+    let mut want = Vec::new();
+    let shutdown = serve_connection(&state, &mut input.as_bytes(), &mut want).expect("serve");
+    assert!(shutdown);
+    assert_eq!(
+        String::from_utf8_lossy(&got),
+        String::from_utf8_lossy(&want)
+    );
+    assert_eq!(got.lines().count(), 3);
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,38 +1,39 @@
-//! Edge cases of bounded line reading, on both transports: the
-//! blocking [`read_bounded_line`] and the nonblocking [`LineAccum`]
-//! the poll loop feeds from readiness wakeups. The two must agree
-//! byte for byte on every stream — exact-cap lines, CRLF, oversized
-//! recovery, torn tails — or v1 (blocking) and v2 (poll) connections
-//! would disagree about what a client said.
+//! Edge cases of bounded line reading through [`LineAccum`], the one
+//! line reader of every transport: the poll loop feeds it whatever a
+//! readiness wakeup delivered, and the blocking `serve_connection`
+//! feeds it each `fill_buf` chunk. Every stream — exact-cap lines,
+//! CRLF, partial reads, oversized recovery, torn tails — must come out
+//! as the same events however it is chunked, or two transports would
+//! disagree about what a client said.
 
-use std::io::BufReader;
+use cluster_serve::protocol::{LineAccum, LineRead};
 
-use cluster_serve::protocol::{read_bounded_line, LineAccum, LineRead};
+/// Chunk sizes every stream is fed at: single bytes, small odd
+/// splits, and one chunk holding the whole stream.
+const STEPS: [usize; 7] = [1, 2, 3, 5, 7, 64, usize::MAX];
 
-/// Runs a whole byte stream through `read_bounded_line` to EOF.
-fn blocking_events(stream: &[u8], max: usize) -> Vec<LineRead> {
-    let mut r = BufReader::new(stream);
-    let mut out = Vec::new();
-    loop {
-        match read_bounded_line(&mut r, max).expect("in-memory read") {
-            LineRead::Eof => return out,
-            ev => out.push(ev),
-        }
-    }
-}
-
-/// Runs the same stream through a [`LineAccum`], split into chunks of
-/// `step` bytes — simulating poll wakeups that deliver arbitrary
-/// fragments — then flushes the torn tail.
+/// Runs a whole byte stream through a [`LineAccum`], split into chunks
+/// of `step` bytes, then flushes the torn tail as EOF does.
 fn accum_events(stream: &[u8], max: usize, step: usize) -> Vec<LineRead> {
     let mut acc = LineAccum::new(max);
     let mut out = Vec::new();
-    for chunk in stream.chunks(step.max(1)) {
+    for chunk in stream.chunks(step.clamp(1, stream.len().max(1))) {
         out.extend(acc.feed(chunk));
     }
     out.extend(acc.finish());
     assert!(acc.is_empty(), "finish resets the accumulator");
     out
+}
+
+/// Asserts `stream` yields `want` at every chunking in [`STEPS`].
+fn assert_events(stream: &[u8], max: usize, want: &[LineRead]) {
+    for step in STEPS {
+        assert_eq!(
+            accum_events(stream, max, step),
+            want,
+            "max {max} step {step}"
+        );
+    }
 }
 
 fn line(s: &str) -> LineRead {
@@ -41,55 +42,36 @@ fn line(s: &str) -> LineRead {
 
 #[test]
 fn exact_max_length_line_is_accepted_one_more_byte_is_not() {
-    let max = 8;
-    let exact = b"12345678\n";
-    assert_eq!(blocking_events(exact, max), vec![line("12345678")]);
-    assert_eq!(accum_events(exact, max, 3), vec![line("12345678")]);
-
-    let over = b"123456789\n";
-    assert_eq!(
-        blocking_events(over, max),
-        vec![LineRead::Oversized { length: 9 }]
-    );
-    assert_eq!(
-        accum_events(over, max, 2),
-        vec![LineRead::Oversized { length: 9 }]
-    );
+    assert_events(b"12345678\n", 8, &[line("12345678")]);
+    assert_events(b"123456789\n", 8, &[LineRead::Oversized { length: 9 }]);
 }
 
 #[test]
 fn crlf_strips_exactly_one_carriage_return() {
-    let stream = b"alpha\r\nbeta\r\r\n\r\n";
-    let want = vec![line("alpha"), line("beta\r"), line("")];
-    assert_eq!(blocking_events(stream, 64), want);
-    assert_eq!(accum_events(stream, 64, 1), want);
+    assert_events(
+        b"alpha\r\nbeta\r\r\n\r\n",
+        64,
+        &[line("alpha"), line("beta\r"), line("")],
+    );
     // The cap counts the \r: an exact-max payload plus \r\n overflows
-    // a cap sized for the payload alone.
-    assert_eq!(
-        blocking_events(b"12345678\r\n", 8),
-        vec![LineRead::Oversized { length: 9 }]
-    );
-    assert_eq!(
-        accum_events(b"12345678\r\n", 8, 4),
-        vec![LineRead::Oversized { length: 9 }]
-    );
+    // a cap sized for the payload alone...
+    assert_events(b"12345678\r\n", 8, &[LineRead::Oversized { length: 9 }]);
     // ...and fits a cap that accounts for it.
-    assert_eq!(blocking_events(b"12345678\r\n", 9), vec![line("12345678")]);
-    assert_eq!(accum_events(b"12345678\r\n", 9, 4), vec![line("12345678")]);
+    assert_events(b"12345678\r\n", 9, &[line("12345678")]);
 }
 
 #[test]
 fn interleaved_partial_reads_reassemble_lines() {
-    // A request arriving one byte per poll wakeup must come out as the
-    // same single line.
-    let req = b"{\"op\":\"ping\",\"id\":1}\n{\"op\":\"stats\"}\n";
-    let want = vec![
-        line("{\"op\":\"ping\",\"id\":1}"),
-        line("{\"op\":\"stats\"}"),
-    ];
-    for step in [1, 2, 3, 5, 7, 1024] {
-        assert_eq!(accum_events(req, 4096, step), want, "step {step}");
-    }
+    // A request arriving one byte per read must come out as the same
+    // single line.
+    assert_events(
+        b"{\"op\":\"ping\",\"id\":1}\n{\"op\":\"stats\"}\n",
+        4096,
+        &[
+            line("{\"op\":\"ping\",\"id\":1}"),
+            line("{\"op\":\"stats\"}"),
+        ],
+    );
     // Mid-line chunk boundaries: feed returns nothing until the
     // newline lands, and the partial line is visible via is_empty.
     let mut acc = LineAccum::new(64);
@@ -103,20 +85,19 @@ fn interleaved_partial_reads_reassemble_lines() {
 
 #[test]
 fn oversized_line_recovery_does_not_desync_the_stream() {
-    let max = 16;
     let huge = "x".repeat(1000);
     let stream = format!("{huge}\n{{\"op\":\"ping\"}}\nshort\n");
-    let want = vec![
+    let want = [
         LineRead::Oversized { length: 1000 },
         line("{\"op\":\"ping\"}"),
         line("short"),
     ];
-    assert_eq!(blocking_events(stream.as_bytes(), max), want);
-    // However the poll wakeups slice the oversized line, the lines
-    // after it come through intact and in order.
-    for step in [1, 7, 16, 17, 999, 4096] {
+    // However the reads slice the oversized line, the lines after it
+    // come through intact and in order.
+    assert_events(stream.as_bytes(), 16, &want);
+    for step in [16, 17, 999, 4096] {
         assert_eq!(
-            accum_events(stream.as_bytes(), max, step),
+            accum_events(stream.as_bytes(), 16, step),
             want,
             "step {step}"
         );
@@ -125,36 +106,32 @@ fn oversized_line_recovery_does_not_desync_the_stream() {
 
 #[test]
 fn torn_tail_at_eof_is_surfaced_not_dropped() {
-    // Unterminated final line: both transports hand it to the parser
+    // Unterminated final line: the reader hands it to the parser
     // (which answers a parse error) instead of losing it.
-    let stream = b"{\"op\":\"ping\"}\n{\"op\":\"pi";
-    let want = vec![line("{\"op\":\"ping\"}"), line("{\"op\":\"pi")];
-    assert_eq!(blocking_events(stream, 64), want);
-    assert_eq!(accum_events(stream, 64, 5), want);
+    assert_events(
+        b"{\"op\":\"ping\"}\n{\"op\":\"pi",
+        64,
+        &[line("{\"op\":\"ping\"}"), line("{\"op\":\"pi")],
+    );
     // A torn tail that already overflowed reports oversized.
-    let torn_huge = "y".repeat(100);
-    assert_eq!(
-        accum_events(torn_huge.as_bytes(), 16, 9),
-        vec![LineRead::Oversized { length: 100 }]
+    assert_events(
+        "y".repeat(100).as_bytes(),
+        16,
+        &[LineRead::Oversized { length: 100 }],
     );
     // Empty stream: no events at all.
-    assert_eq!(accum_events(b"", 16, 1), vec![]);
-    assert_eq!(blocking_events(b"", 16), vec![]);
+    assert_events(b"", 16, &[]);
 }
 
-/// The contract the poll loop relies on: for any stream and any
-/// chunking, [`LineAccum`] produces exactly the event sequence
-/// [`read_bounded_line`] would.
 #[test]
-fn accumulator_agrees_with_blocking_reader_on_mixed_streams() {
+fn mixed_streams_cut_the_same_at_every_chunking() {
     let huge = "z".repeat(300);
-    let stream = format!(
-        "plain\r\ntiny\n\n{huge}\nexact-cap-1234\n{huge}",
-        // torn oversized tail, no newline
-    );
+    // Ends in a torn oversized tail, no newline.
+    let stream = format!("plain\r\ntiny\n\n{huge}\nexact-cap-1234\n{huge}");
     for max in [14, 15, 64, 299, 300] {
-        let want = blocking_events(stream.as_bytes(), max);
-        for step in [1, 2, 3, 13, 64, 10_000] {
+        let want = accum_events(stream.as_bytes(), max, usize::MAX);
+        assert_events(stream.as_bytes(), max, &want);
+        for step in [13, 10_000] {
             assert_eq!(
                 accum_events(stream.as_bytes(), max, step),
                 want,
@@ -162,4 +139,15 @@ fn accumulator_agrees_with_blocking_reader_on_mixed_streams() {
             );
         }
     }
+    assert_eq!(
+        accum_events(stream.as_bytes(), 14, usize::MAX),
+        [
+            line("plain"),
+            line("tiny"),
+            line(""),
+            LineRead::Oversized { length: 300 },
+            line("exact-cap-1234"),
+            LineRead::Oversized { length: 300 },
+        ]
+    );
 }
