@@ -19,12 +19,15 @@
 //! Each shape repeats its pass over one timed window (at least
 //! [`WINDOW`] and [`MIN_PASSES`] passes) and reports cells served over
 //! the window's elapsed time, so one scheduling stall weighs against
-//! the whole window rather than one 10–15 ms pass. The cells/second for each
-//! shape, and the speedups, go to stdout; `--emit-manifest`/`--out` records
-//! them as manifest metrics (`serve.v1_cells_per_sec`,
-//! `serve.v2_batch_cells_per_sec_32c`, `serve.speedup`,
-//! `serve.chaos_cells_per_sec`, `serve.chaos_speedup`) for CI to
-//! assert against.
+//! the whole window rather than one 10–15 ms pass. The v1 and v2
+//! windows run as [`PAIRS`] interleaved pairs: `serve.speedup` is the
+//! median of the pair ratios and each shape's rate is the median of
+//! its windows, so a host stall lands in one pair, not on one side of
+//! every ratio. The cells/second for each shape, and the speedups, go
+//! to stdout; `--emit-manifest`/`--out` records them as manifest
+//! metrics (`serve.v1_cells_per_sec`, `serve.v2_batch_cells_per_sec_32c`,
+//! `serve.speedup`, `serve.chaos_cells_per_sec`, `serve.chaos_speedup`)
+//! for CI to assert against.
 
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -45,6 +48,9 @@ const WINDOW: Duration = Duration::from_secs(1);
 
 /// Fewest passes per client shape, however long each pass takes.
 const MIN_PASSES: u64 = 3;
+
+/// Interleaved v1/v2 window pairs (odd, so each median is one window).
+const PAIRS: usize = 3;
 
 fn fatal(msg: &str) -> ! {
     eprintln!("serve_soak: {msg}");
@@ -95,6 +101,12 @@ fn cells_in(resp: &Json) -> u64 {
         .and_then(Json::as_arr)
         .map(|c| c.len() as u64)
         .unwrap_or(0)
+}
+
+/// The middle value of an odd-length sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// Repeats `pass` (which serves `cells` cells) until both [`WINDOW`]
@@ -232,37 +244,47 @@ fn main() {
     // Before: one v1 client, one cell per request. No handshake — the
     // connection stays on the v1 compatibility surface.
     let singles = cell_specs(&apps, size, cli.procs);
-    let v1_cells_per_sec = cells_per_sec(
-        "serve.v1 single-cell requests (1 client)",
-        total_cells,
-        || {
-            let mut c = ServeClient::connect(&addr)
-                .unwrap_or_else(|e| fatal(&format!("v1 client: connecting {addr}: {e}")));
-            let mut served = 0u64;
-            for spec in &singles {
-                let resp = c
-                    .run(spec.clone())
-                    .unwrap_or_else(|e| fatal(&format!("v1 run: {e}")));
-                served += cells_in(&resp);
-            }
-            if served != total_cells {
-                fatal(&format!("v1 pass served {served} of {total_cells} cells"));
-            }
-        },
-    );
-
+    let mut v1_pass = || {
+        let mut c = ServeClient::connect(&addr)
+            .unwrap_or_else(|e| fatal(&format!("v1 client: connecting {addr}: {e}")));
+        let mut served = 0u64;
+        for spec in &singles {
+            let resp = c
+                .run(spec.clone())
+                .unwrap_or_else(|e| fatal(&format!("v1 run: {e}")));
+            served += cells_in(&resp);
+        }
+        if served != total_cells {
+            fatal(&format!("v1 pass served {served} of {total_cells} cells"));
+        }
+    };
     // After: CLIENTS concurrent v2 sessions, each batching the whole
     // matrix in one request line.
     let matrix_cells = total_cells * CLIENTS as u64;
-    let v2_cells_per_sec = cells_per_sec(
-        "serve.v2 whole-matrix batch (32 clients)",
-        matrix_cells,
-        || {
-            batch_pass("v2", &addr, &specs, matrix_cells, |_| {
-                ClientConfig::default()
-            })
-        },
-    );
+    let mut v2_pass = || {
+        batch_pass("v2", &addr, &specs, matrix_cells, |_| {
+            ClientConfig::default()
+        })
+    };
+    let (mut v1_rates, mut v2_rates, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..PAIRS {
+        let v1 = cells_per_sec(
+            "serve.v1 single-cell requests (1 client)",
+            total_cells,
+            &mut v1_pass,
+        );
+        let v2 = cells_per_sec(
+            "serve.v2 whole-matrix batch (32 clients)",
+            matrix_cells,
+            &mut v2_pass,
+        );
+        v1_rates.push(v1);
+        v2_rates.push(v2);
+        ratios.push(v2 / v1);
+    }
+    let v1_cells_per_sec = median(v1_rates);
+    let v2_cells_per_sec = median(v2_rates);
+    let speedup = median(ratios);
 
     // Chaos: the same 32-client whole-matrix workload with a 5%
     // mid-stream connection-drop plan armed (fixed seed, so every CI
@@ -304,11 +326,11 @@ fn main() {
         Err(_) => fatal("event loop thread panicked"),
     }
 
-    let speedup = v2_cells_per_sec / v1_cells_per_sec;
     let chaos_speedup = chaos_cells_per_sec / v1_cells_per_sec;
     println!(
-        "\nwarm-cache throughput: v1 single-cell {v1_cells_per_sec:.0} cells/s, \
-         v2 batch x{CLIENTS} {v2_cells_per_sec:.0} cells/s, speedup {speedup:.1}x"
+        "\nwarm-cache throughput (medians of {PAIRS} pairs): v1 single-cell \
+         {v1_cells_per_sec:.0} cells/s, v2 batch x{CLIENTS} {v2_cells_per_sec:.0} cells/s, \
+         speedup {speedup:.1}x"
     );
     println!(
         "chaos (5% drops, {drops} injected): {chaos_cells_per_sec:.0} cells/s, \

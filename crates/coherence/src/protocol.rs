@@ -15,9 +15,7 @@
 //! pending in the cache from outstanding READ or WRITE misses are said
 //! to MERGE MISS and will block till the associated data returns").
 
-use std::collections::HashMap;
-
-use simcore::addr::{line_base, line_of, LineAddr};
+use simcore::addr::{line_base, line_of, LineAddr, LINE_BYTES};
 use simcore::cache::{CacheKind, EvictedLine, FullLruCache, SetAssocCache};
 use simcore::cast::usize_from;
 use simcore::space::{AddressSpace, Placement, ProcId};
@@ -43,7 +41,18 @@ pub enum ProtocolError {
     /// The machine configuration is invalid (shape or the directory's
     /// 64-cluster sharer-vector limit).
     Config(ConfigError),
+    /// The address space spans more lines than the dense directory
+    /// holds ([`MAX_DIR_LINES`]), or its table could not be allocated.
+    DirectoryTooLarge {
+        /// Lines the directory would have to cover.
+        lines: u64,
+    },
 }
+
+/// The most lines the dense directory covers: 2^22 lines (256 MiB of
+/// simulated memory, 64 MiB of directory), 46× the largest paper-size
+/// application (barnes, 90,176 lines).
+pub const MAX_DIR_LINES: u64 = 1 << 22;
 
 impl std::fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -52,6 +61,11 @@ impl std::fmt::Display for ProtocolError {
                 write!(f, "access to unallocated line {line:#x}")
             }
             ProtocolError::Config(e) => write!(f, "invalid machine configuration: {e}"),
+            ProtocolError::DirectoryTooLarge { lines } => write!(
+                f,
+                "address space of {lines} lines does not fit the directory \
+                 (at most {MAX_DIR_LINES} lines)"
+            ),
         }
     }
 }
@@ -166,7 +180,8 @@ impl ClusterCache {
 }
 
 /// Directory entry for one line: its (sticky) home cluster, the sharer
-/// bit vector, and whether the single sharer holds it EXCLUSIVE.
+/// bit vector, and whether the single sharer holds it EXCLUSIVE. A
+/// line never touched holds [`DirEntry::VACANT`] (16 bytes either way).
 #[derive(Debug, Clone, Copy)]
 struct DirEntry {
     home: u32,
@@ -175,9 +190,96 @@ struct DirEntry {
 }
 
 impl DirEntry {
+    /// The in-band "no entry" marker: no cluster has this home.
+    const VACANT: DirEntry = DirEntry {
+        home: u32::MAX,
+        sharers: 0,
+        dirty: false,
+    };
+
+    fn is_vacant(&self) -> bool {
+        self.home == u32::MAX
+    }
+
     fn owner(&self) -> u32 {
         debug_assert!(self.dirty && self.sharers.count_ones() == 1);
         self.sharers.trailing_zeros()
+    }
+
+    /// Classifies a miss to this line by cluster `c` per Table 1.
+    fn classify_miss(&self, c: u32) -> LatencyClass {
+        let local = self.home == c;
+        if self.dirty {
+            let owner = self.owner();
+            debug_assert_ne!(owner, c, "requester cannot miss on a line it owns dirty");
+            if local {
+                // Dirty in a remote cluster, home is ours: 100 cycles.
+                LatencyClass::LocalDirtyRemote
+            } else if owner == self.home {
+                // The home itself holds the dirty copy and satisfies the
+                // request directly: two hops, 100 cycles.
+                LatencyClass::RemoteClean
+            } else {
+                // Dirty in a third cluster: three hops, 150 cycles.
+                LatencyClass::RemoteDirtyThird
+            }
+        } else if local {
+            LatencyClass::LocalClean
+        } else {
+            LatencyClass::RemoteClean
+        }
+    }
+}
+
+/// The directory as a dense table indexed by line address.
+/// [`AddressSpace`] is a bump allocator whose first line is 1, so every
+/// allocated line is below `allocated_bytes / LINE_BYTES + 1`; the
+/// table is sized once, and an entry is filled on first touch.
+#[derive(Debug, Clone)]
+struct Directory {
+    entries: Vec<DirEntry>,
+}
+
+impl Directory {
+    /// A table covering every line of `space`, or
+    /// [`ProtocolError::DirectoryTooLarge`] past [`MAX_DIR_LINES`] or
+    /// when the allocation fails.
+    fn try_new(space: &AddressSpace) -> Result<Self, ProtocolError> {
+        let lines = space.allocated_bytes() / LINE_BYTES + 1;
+        let too_large = ProtocolError::DirectoryTooLarge { lines };
+        if lines > MAX_DIR_LINES {
+            return Err(too_large);
+        }
+        let n = usize::try_from(lines).map_err(|_| too_large)?;
+        let mut entries = Vec::new();
+        entries.try_reserve_exact(n).map_err(|_| too_large)?;
+        entries.resize(n, DirEntry::VACANT);
+        Ok(Directory { entries })
+    }
+
+    /// The table slot of `line`, vacant or not; `None` past the table.
+    #[inline]
+    fn slot_mut(&mut self, line: LineAddr) -> Option<&mut DirEntry> {
+        self.entries.get_mut(usize::try_from(line).ok()?)
+    }
+
+    /// The entry of `line`, if it has been touched.
+    #[inline]
+    fn get(&self, line: LineAddr) -> Option<&DirEntry> {
+        self.entries
+            .get(usize::try_from(line).ok()?)
+            .filter(|e| !e.is_vacant())
+    }
+
+    /// Mutable entry of `line`, if it has been touched.
+    #[inline]
+    fn get_mut(&mut self, line: LineAddr) -> Option<&mut DirEntry> {
+        self.slot_mut(line).filter(|e| !e.is_vacant())
+    }
+
+    /// Every touched line with its entry, in ascending line order.
+    fn iter(&self) -> impl Iterator<Item = (LineAddr, &DirEntry)> {
+        (0u64..).zip(&self.entries).filter(|(_, e)| !e.is_vacant())
     }
 }
 
@@ -304,7 +406,7 @@ pub struct MemorySystem {
     /// One cache per cluster in shared-cache mode; one per *processor*
     /// in shared-memory-cluster mode.
     caches: Vec<ClusterCache>,
-    dir: HashMap<LineAddr, DirEntry>,
+    dir: Directory,
     space: AddressSpace,
     rr_next: u32,
     /// Shared-memory-cluster mode (private caches + snoopy bus).
@@ -320,7 +422,9 @@ pub struct MemorySystem {
 impl MemorySystem {
     /// Builds the memory system for `cfg`, resolving placement policies
     /// against `space` (cloned; the allocator is not consulted again),
-    /// or returns the typed reason the configuration is rejected.
+    /// or returns the typed reason the configuration is rejected —
+    /// including an address space too large for the dense directory
+    /// ([`ProtocolError::DirectoryTooLarge`]).
     pub fn try_new(cfg: MachineConfig, space: &AddressSpace) -> Result<Self, ProtocolError> {
         let cfg = cfg.validate()?;
         let kind = cfg.cluster_cache_kind();
@@ -333,10 +437,11 @@ impl MemorySystem {
         } else {
             cfg.n_clusters()
         };
+        let dir = Directory::try_new(space)?;
         Ok(MemorySystem {
             cfg,
             caches: (0..n_caches).map(|_| ClusterCache::new(kind)).collect(),
-            dir: HashMap::new(),
+            dir,
             space: space.clone(),
             rr_next: 0,
             private,
@@ -384,60 +489,33 @@ impl MemorySystem {
         &self.cfg
     }
 
-    /// Home cluster of `line`, assigning it on first touch. Errors
-    /// when the line was never allocated — a malformed trace, which is
-    /// user input, not a protocol invariant.
-    fn home_of(&mut self, line: LineAddr) -> Result<u32, ProtocolError> {
-        if let Some(e) = self.dir.get(&line) {
-            return Ok(e.home);
-        }
-        let placement = self
-            .space
-            .placement_of(line_base(line))
-            .ok_or(ProtocolError::UnallocatedAccess { line })?;
-        let home = match placement {
-            Placement::RoundRobin => {
-                let h = self.rr_next % self.cfg.n_clusters();
-                self.rr_next = self.rr_next.wrapping_add(1);
-                h
-            }
-            Placement::Owner(p) => self.cfg.cluster_of(p),
-        };
-        self.dir.insert(
-            line,
-            DirEntry {
+    /// Directory entry of `line`, assigning its home on first touch.
+    /// Errors when the line was never allocated — a malformed trace,
+    /// which is user input, not a protocol invariant.
+    fn entry_of(&mut self, line: LineAddr) -> Result<&mut DirEntry, ProtocolError> {
+        let unallocated = ProtocolError::UnallocatedAccess { line };
+        // Every allocated line lies inside the table (see `Directory`).
+        let e = self.dir.slot_mut(line).ok_or(unallocated)?;
+        if e.is_vacant() {
+            let placement = self
+                .space
+                .placement_of(line_base(line))
+                .ok_or(unallocated)?;
+            let home = match placement {
+                Placement::RoundRobin => {
+                    let h = self.rr_next % self.cfg.n_clusters();
+                    self.rr_next = self.rr_next.wrapping_add(1);
+                    h
+                }
+                Placement::Owner(p) => self.cfg.cluster_of(p),
+            };
+            *e = DirEntry {
                 home,
                 sharers: 0,
                 dirty: false,
-            },
-        );
-        Ok(home)
-    }
-
-    /// Classifies a miss by cluster `c` to `line` per Table 1. Must be
-    /// called after `home_of` so the entry exists.
-    fn classify_miss(&self, c: u32, line: LineAddr) -> LatencyClass {
-        let e = &self.dir[&line];
-        let local = e.home == c;
-        if e.dirty {
-            let owner = e.owner();
-            debug_assert_ne!(owner, c, "requester cannot miss on a line it owns dirty");
-            if local {
-                // Dirty in a remote cluster, home is ours: 100 cycles.
-                LatencyClass::LocalDirtyRemote
-            } else if owner == e.home {
-                // The home itself holds the dirty copy and satisfies the
-                // request directly: two hops, 100 cycles.
-                LatencyClass::RemoteClean
-            } else {
-                // Dirty in a third cluster: three hops, 150 cycles.
-                LatencyClass::RemoteDirtyThird
-            }
-        } else if local {
-            LatencyClass::LocalClean
-        } else {
-            LatencyClass::RemoteClean
+            };
         }
+        Ok(e)
     }
 
     /// Handles a capacity eviction: sends the replacement hint to the
@@ -459,7 +537,7 @@ impl MemorySystem {
         let still_held = self.private && self.cluster_holds(c, ev.line);
         let e = self
             .dir
-            .get_mut(&ev.line)
+            .get_mut(ev.line)
             // cluster_check: allow(no-panic) — internal invariant:
             // every resident line has a directory entry (checked by
             // check_invariants and the model checker).
@@ -476,13 +554,18 @@ impl MemorySystem {
 
     /// Invalidates every cached copy of `line` outside cluster `keep`.
     fn invalidate_others(&mut self, line: LineAddr, keep: u32) {
-        let e = match self.dir.get_mut(&line) {
-            Some(e) => e,
-            None => return,
+        let Some(e) = self.dir.get_mut(line) else {
+            return;
         };
-        let mut others = e.sharers & !(1u64 << keep);
+        let others = e.sharers & !(1u64 << keep);
         e.sharers &= 1u64 << keep;
         e.dirty = false;
+        self.invalidate_clusters(line, others);
+    }
+
+    /// Removes `line` from every cache of each cluster in the `others`
+    /// bit vector (whose directory bits the caller has cleared).
+    fn invalidate_clusters(&mut self, line: LineAddr, mut others: u64) {
         while others != 0 {
             let b = others.trailing_zeros();
             others &= others - 1;
@@ -530,7 +613,7 @@ impl MemorySystem {
                 // become SHARED and the directory goes clean.
                 mcl.state = LineState::Shared;
                 self.dir
-                    .get_mut(&line)
+                    .get_mut(line)
                     // cluster_check: allow(no-panic) — internal
                     // invariant: a cached line always has an entry.
                     .expect("cached line has entry")
@@ -586,32 +669,27 @@ impl MemorySystem {
         }
         // Miss: resolve home, classify, downgrade any dirty owner, fill
         // SHARED with a pending window.
-        self.home_of(line)?;
-        let class = self.classify_miss(c, line);
+        let e = self.entry_of(line)?;
+        let class = e.classify_miss(c);
+        let dirty_owner = e.dirty.then(|| e.owner());
+        e.dirty = false;
+        e.sharers |= 1 << c;
         let stall = self.cfg.lat.of(class);
-        {
-            // cluster_check: allow(no-panic) — home_of above inserted
-            // the entry (internal invariant).
-            let e = self.dir.get_mut(&line).expect("home_of inserted entry");
-            let dirty_owner = e.dirty.then(|| e.owner());
-            e.dirty = false;
-            e.sharers |= 1 << c;
-            let downgrade = self.mutation != Some(Mutation::SkipOwnerDowngrade);
-            if let Some(owner) = dirty_owner.filter(|_| downgrade) {
-                // The owning cluster keeps a SHARED copy (cache-to-cache
-                // transfer + sharing writeback to home). Find the member
-                // cache actually holding it.
-                let holder = self
-                    .member_caches(owner)
-                    .find(|&i| self.caches[i].peek(line).is_some())
-                    // cluster_check: allow(no-panic) — internal
-                    // invariant: the directory's dirty owner holds the
-                    // line (checked by check_invariants).
-                    .expect("dirty owner cluster must hold the line");
-                // cluster_check: allow(no-panic) — found just above.
-                let oc = self.caches[holder].peek_mut(line).expect("just found it");
-                oc.state = LineState::Shared;
-            }
+        let downgrade = self.mutation != Some(Mutation::SkipOwnerDowngrade);
+        if let Some(owner) = dirty_owner.filter(|_| downgrade) {
+            // The owning cluster keeps a SHARED copy (cache-to-cache
+            // transfer + sharing writeback to home). Find the member
+            // cache actually holding it.
+            let holder = self
+                .member_caches(owner)
+                .find(|&i| self.caches[i].peek(line).is_some())
+                // cluster_check: allow(no-panic) — internal
+                // invariant: the directory's dirty owner holds the
+                // line (checked by check_invariants).
+                .expect("dirty owner cluster must hold the line");
+            // cluster_check: allow(no-panic) — found just above.
+            let oc = self.caches[holder].peek_mut(line).expect("just found it");
+            oc.state = LineState::Shared;
         }
         if let Some(ev) = self.caches[ci].insert(
             line,
@@ -659,7 +737,7 @@ impl MemorySystem {
                     }
                     // cluster_check: allow(no-panic) — internal
                     // invariant: a resident line has an entry.
-                    let e = self.dir.get_mut(&line).expect("resident line has entry");
+                    let e = self.dir.get_mut(line).expect("resident line has entry");
                     e.sharers = 1 << c;
                     e.dirty = true;
                     self.stats.upgrade_misses += 1;
@@ -678,7 +756,7 @@ impl MemorySystem {
             {
                 // cluster_check: allow(no-panic) — cluster_holds above
                 // proved a resident copy (internal invariant).
-                let e = self.dir.get_mut(&line).expect("resident line has entry");
+                let e = self.dir.get_mut(line).expect("resident line has entry");
                 e.sharers = 1 << c;
                 e.dirty = true;
             }
@@ -696,17 +774,13 @@ impl MemorySystem {
         }
         // WRITE miss: latency hidden, but classify for statistics and
         // to size the pending window.
-        self.home_of(line)?;
-        let class = self.classify_miss(c, line);
+        let e = self.entry_of(line)?;
+        let class = e.classify_miss(c);
+        let others = e.sharers & !(1 << c);
+        e.sharers = 1 << c;
+        e.dirty = true;
         let stall = self.cfg.lat.of(class);
-        self.invalidate_others(line, c);
-        {
-            // cluster_check: allow(no-panic) — home_of above inserted
-            // the entry (internal invariant).
-            let e = self.dir.get_mut(&line).expect("home_of inserted entry");
-            e.sharers = 1 << c;
-            e.dirty = true;
-        }
+        self.invalidate_clusters(line, others);
         if let Some(ev) = self.caches[ci].insert(
             line,
             CachedLine {
@@ -750,17 +824,16 @@ impl MemorySystem {
                 lines
             })
             .collect();
-        let mut dir: Vec<DirEntryView> = self
+        let dir = self
             .dir
             .iter()
-            .map(|(&line, e)| DirEntryView {
+            .map(|(line, e)| DirEntryView {
                 line,
                 home: e.home,
                 sharers: e.sharers,
                 dirty: e.dirty,
             })
             .collect();
-        dir.sort_by_key(|v| v.line);
         ProtocolSnapshot {
             caches,
             dir,
@@ -769,7 +842,9 @@ impl MemorySystem {
     }
 
     /// Checks the protocol's global invariants; returns the first
-    /// violation found. Used heavily by property tests.
+    /// violation found, walking directory lines in ascending order so
+    /// the report is the same in every process. Used heavily by
+    /// property tests.
     ///
     /// * a dirty line has exactly one sharer, holding it EXCLUSIVE;
     /// * a clean line's sharers all hold it SHARED;
@@ -777,7 +852,7 @@ impl MemorySystem {
     ///   vice versa;
     /// * at most one EXCLUSIVE copy exists machine-wide.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (&line, e) in &self.dir {
+        for (line, e) in self.dir.iter() {
             if e.dirty && e.sharers.count_ones() != 1 {
                 return Err(format!(
                     "line {line:#x}: dirty with {} sharers",
@@ -821,7 +896,7 @@ impl MemorySystem {
         // No cached line may lack a directory entry.
         for cache in &self.caches {
             for (line, _) in cache.iter_lines() {
-                if !self.dir.contains_key(&line) {
+                if self.dir.get(line).is_none() {
                     return Err(format!("line {line:#x} cached without directory entry"));
                 }
             }
@@ -1064,6 +1139,88 @@ mod tests {
             m.try_read(0, a, 200).unwrap(),
             Outcome::ReadMiss { .. }
         ));
+    }
+
+    /// `snapshot().dir` comes straight from the dense table: strictly
+    /// increasing by line, holding exactly the lines ever touched
+    /// (evicted and invalidated lines keep their sticky home entry).
+    #[test]
+    fn snapshot_dir_lists_touched_lines_in_ascending_order() {
+        let (mut m, a, b) = machine(4, CacheSpec::PerProcBytes(LINE_BYTES));
+        let line = |base: u64, i: u64| base + i * LINE_BYTES;
+        let accesses = [
+            (0, line(b, 9), true),
+            (5, line(a, 3), false),
+            (12, line(b, 0), true),
+            (0, line(a, 15), false),
+            (33, line(a, 3), true),
+            (63, line(b, 9), false),
+            (7, line(a, 0), true),
+        ];
+        for (t, &(p, addr, write)) in (0u64..).zip(&accesses) {
+            if write {
+                m.try_write(p, addr, t * 10).unwrap();
+            } else {
+                m.try_read(p, addr, t * 10).unwrap();
+            }
+        }
+        m.check_invariants().unwrap();
+        let got: Vec<LineAddr> = m.snapshot().dir.iter().map(|v| v.line).collect();
+        let mut want: Vec<LineAddr> = accesses.iter().map(|&(_, a, _)| line_of(a)).collect();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(got, want);
+        assert!(got.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn dir_entry_fits_16_bytes() {
+        assert!(std::mem::size_of::<DirEntry>() <= 16);
+    }
+
+    /// With two stale sharer bits, the report names the lower line,
+    /// whatever order the lines were touched in.
+    #[test]
+    fn check_invariants_reports_the_lowest_violating_line() {
+        let mut space = AddressSpace::new();
+        let a = space.alloc_shared(LINE_BYTES * 4);
+        let cfg = MachineConfig {
+            n_procs: 4,
+            per_cluster: 1,
+            cache: CacheSpec::PerProcBytes(LINE_BYTES),
+            lat: LatencyTable::paper(),
+        };
+        let mut m = MemorySystem::try_new(cfg, &space).unwrap();
+        m.set_mutation(Some(Mutation::DropReplacementHint));
+        // Touch the higher line first; each read evicts the one before
+        // it without a hint, leaving lines a+2 and a+0 stale.
+        for (t, i) in [2u64, 0, 3].into_iter().enumerate() {
+            let now = 100 * u64::try_from(t).unwrap();
+            m.try_read(0, a + i * LINE_BYTES, now).unwrap();
+        }
+        let err = m.check_invariants().unwrap_err();
+        assert_eq!(
+            err,
+            format!("line {:#x}: dir says cluster 0 has it", line_of(a))
+        );
+    }
+
+    #[test]
+    fn try_new_rejects_an_address_space_past_the_directory_cap() {
+        let cfg = MachineConfig::paper(1, CacheSpec::Infinite);
+        let mut space = AddressSpace::new();
+        // Exactly at the cap: line 0 plus MAX_DIR_LINES - 1 lines.
+        space.alloc_shared((MAX_DIR_LINES - 1) * LINE_BYTES);
+        assert!(MemorySystem::try_new(cfg, &space).is_ok());
+        space.alloc_shared(1);
+        let err = MemorySystem::try_new(cfg, &space).unwrap_err();
+        assert_eq!(
+            err,
+            ProtocolError::DirectoryTooLarge {
+                lines: MAX_DIR_LINES + 1
+            }
+        );
+        assert!(err.to_string().contains(&format!("{}", MAX_DIR_LINES + 1)));
     }
 
     #[test]

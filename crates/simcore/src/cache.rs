@@ -3,15 +3,15 @@
 //! The paper simulates *fully associative* caches with LRU replacement
 //! "to exclude the effect of conflict misses from the performance
 //! characterizations" (§3.1). [`FullLruCache`] implements that with an
-//! O(1) hash map + intrusive doubly-linked recency list.
+//! O(1) [`LineMap`] (a hash map under the unkeyed line hasher) + an
+//! intrusive doubly-linked recency list.
 //!
 //! The paper defers limited associativity (and the destructive
 //! interference it causes in shared caches) to future work; we provide
 //! [`SetAssocCache`] so the ablation benches can explore it.
 
-use std::collections::HashMap;
-
 use crate::addr::LineAddr;
+use crate::hash::LineMap;
 
 /// A line evicted by an insertion, returned to the caller so the
 /// coherence layer can issue a replacement hint / writeback.
@@ -92,7 +92,7 @@ struct Slot<V> {
 /// infinite caches (no replacement ever occurs).
 #[derive(Debug, Clone)]
 pub struct FullLruCache<V> {
-    map: HashMap<LineAddr, u32>,
+    map: LineMap<u32>,
     slots: Vec<Slot<V>>,
     free: Vec<u32>,
     head: u32, // most recently used
@@ -117,7 +117,7 @@ impl<V> FullLruCache<V> {
             return Err(CacheError::ZeroCapacity);
         }
         Ok(FullLruCache {
-            map: HashMap::new(),
+            map: LineMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,

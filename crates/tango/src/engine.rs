@@ -567,6 +567,29 @@ mod tests {
         assert_eq!(rs.exec_time, 44);
     }
 
+    /// A region far past the dense directory's cap is a typed error
+    /// from the replay, never an allocation abort. The trace reads the
+    /// region's last line that a packed op can address (2^61 - 64; the
+    /// region itself ends at 2^62 + 64).
+    #[test]
+    fn huge_address_space_is_a_typed_error() {
+        use simcore::addr::LINE_BYTES;
+        use simcore::ops::MAX_PAYLOAD;
+        use simcore::space::Placement;
+        let mut b = TraceBuilder::new(1);
+        let base = b.space_mut().try_alloc(1 << 62, Placement::RoundRobin);
+        assert_eq!(base, Some(LINE_BYTES));
+        b.read(0, MAX_PAYLOAD & !(LINE_BYTES - 1));
+        let t = b.finish();
+        let err = try_run_with(&t, cfg(1, 1), EngineOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::Protocol(ProtocolError::DirectoryTooLarge {
+                lines: (1 << 56) + 1
+            })
+        );
+    }
+
     #[test]
     fn barrier_sync_accounting() {
         let mut b = TraceBuilder::new(2);
