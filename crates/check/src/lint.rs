@@ -14,7 +14,7 @@
 //! |              | `write_atomic` (crate `src/` trees, `examples/`    |
 //! |              | and the benchmark's `perfbench/src`)               |
 //! | `no-lossy-cast` | bare `as u32` / `as usize` in non-test code of  |
-//! |              | `simcore`, `coherence`, and `tango` — width        |
+//! |              | `simcore`, `coherence`, `tango` and `core` — width |
 //! |              | conversions go through `try_from` or the helpers   |
 //! |              | in `simcore::cast`, so a count overflowing the     |
 //! |              | target width can never silently wrap               |
@@ -583,7 +583,8 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
         }
     }
 
-    // no-lossy-cast: silent-truncation guard — the simulation crates
+    // no-lossy-cast: silent-truncation guard — the simulation crates,
+    // and the study crate that parses the result store's bytes,
     // convert widths with `try_from` or the checked helpers in
     // `simcore::cast`, so an overflowing count is a typed error (or a
     // documented `allow`), never a wrap.
@@ -591,6 +592,7 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
         "crates/simcore/src",
         "crates/coherence/src",
         "crates/tango/src",
+        "crates/core/src",
     ] {
         for file in rs_files(&root.join(crate_dir)) {
             if let Ok(text) = std::fs::read_to_string(&file) {

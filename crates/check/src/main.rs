@@ -320,9 +320,9 @@ fn run_certify(size: ProblemSize, procs: usize, out: Option<&str>) -> bool {
     }
     // Observation overhead on a representative configuration (mp3d is
     // the heaviest sharer, in the largest cluster size `procs` allows):
-    // observed replay + shadow checks vs the plain replay, medians of
-    // three. Budget: ≤ 2×. A replay that fails is a certify failure,
-    // never a ratio.
+    // observed replay + shadow checks vs the plain replay, timed in
+    // one alternating window, against `OVERHEAD_BUDGET`. A replay that
+    // fails is a certify failure, never a ratio.
     let trace = splash::by_name("mp3d", size)
         .map(|a| a.generate(procs))
         .unwrap_or_else(|| apps[0].generate(procs));
@@ -336,13 +336,16 @@ fn run_certify(size: ProblemSize, procs: usize, out: Option<&str>) -> bool {
         cache: CacheSpec::PerProcBytes(4096),
         lat: LatencyTable::paper(),
     };
-    let plain = median_of_three(|| {
-        tango::try_run_with(&trace, machine, EngineOptions::default()).map_err(|e| e.to_string())
-    });
-    let observed = median_of_three(|| certify::certify_trace(&trace, machine));
-    let overhead_ratio = match (plain, observed) {
-        (Ok(plain), Ok(observed)) => observed.as_secs_f64() / plain.as_secs_f64().max(1e-9),
-        (Err(e), _) | (_, Err(e)) => {
+    let overhead = time_overhead(
+        || {
+            tango::try_run_with(&trace, machine, EngineOptions::default())
+                .map_err(|e| e.to_string())
+        },
+        || certify::certify_trace(&trace, machine),
+    );
+    let overhead_ratio = match overhead {
+        Ok(ratio) => ratio,
+        Err(e) => {
             println!("certify: overhead replay failed: {e}");
             ok = false;
             f64::NAN
@@ -359,8 +362,8 @@ fn run_certify(size: ProblemSize, procs: usize, out: Option<&str>) -> bool {
          order_certified={order_certified}, overhead {overhead_ratio:.2}x",
         manifest.runs.len()
     );
-    if overhead_ratio > 2.0 {
-        println!("certify: overhead {overhead_ratio:.2}x exceeds the 2x budget");
+    if overhead_ratio > OVERHEAD_BUDGET {
+        println!("certify: overhead {overhead_ratio:.2}x exceeds the {OVERHEAD_BUDGET}x budget");
         ok = false;
     }
     if let Some(path) = out {
@@ -373,18 +376,40 @@ fn run_certify(size: ProblemSize, procs: usize, out: Option<&str>) -> bool {
     ok
 }
 
-/// Wall time of one call to `f`: the median of three timed calls
-/// after one untimed warm-up. The first `Err` ends the measurement.
-fn median_of_three<T>(mut f: impl FnMut() -> Result<T, String>) -> Result<Duration, String> {
-    black_box(f()?);
-    let mut times = [Duration::ZERO; 3];
-    for t in &mut times {
+/// The most the observed replay may cost, as a multiple of the plain
+/// one.
+const OVERHEAD_BUDGET: f64 = 1.5;
+
+/// The least wall time each side of the overhead ratio is timed for.
+const OVERHEAD_WINDOW: Duration = Duration::from_millis(500);
+
+/// The fewest replays each side of the overhead ratio is timed over.
+const OVERHEAD_MIN_REPLAYS: u32 = 3;
+
+/// Per-call wall time of `observed` over that of `plain`. After one
+/// untimed warm-up each, the two alternate until each has run at least
+/// [`OVERHEAD_MIN_REPLAYS`] times and for at least [`OVERHEAD_WINDOW`],
+/// so a shift in machine load weighs on both sides alike. Both run the
+/// same number of times, so the ratio of their totals is the ratio of
+/// their per-call times. The first `Err` ends the measurement.
+fn time_overhead<A, B>(
+    mut plain: impl FnMut() -> Result<A, String>,
+    mut observed: impl FnMut() -> Result<B, String>,
+) -> Result<f64, String> {
+    black_box(plain()?);
+    black_box(observed()?);
+    let (mut plain_t, mut observed_t) = (Duration::ZERO, Duration::ZERO);
+    let mut replays = 0;
+    while replays < OVERHEAD_MIN_REPLAYS || plain_t.min(observed_t) < OVERHEAD_WINDOW {
         let start = Instant::now();
-        black_box(f()?);
-        *t = start.elapsed();
+        black_box(plain()?);
+        plain_t += start.elapsed();
+        let start = Instant::now();
+        black_box(observed()?);
+        observed_t += start.elapsed();
+        replays += 1;
     }
-    times.sort_unstable();
-    Ok(times[1])
+    Ok(observed_t.as_secs_f64() / plain_t.as_secs_f64().max(1e-9))
 }
 
 /// The workspace root: `--root` if given, else the manifest dir's

@@ -76,6 +76,12 @@ fn fixture_tree_trips_every_rule() {
     assert!(lossy.iter().any(|f| f.detail.contains("as u32")));
     assert!(lossy.iter().any(|f| f.detail.contains("as usize")));
 
+    // no-lossy-cast covers the study crate, whose shard parser reads
+    // untrusted store bytes: a truncating field read reports.
+    let core_lossy = findings_for(&findings, "no-lossy-cast", "core/src/shard_field.rs");
+    assert_eq!(core_lossy.len(), 1, "{core_lossy:?}");
+    assert_eq!(core_lossy[0].line, 5);
+
     // no-unsafe: the unannotated block reports; its copy inside
     // #[cfg(test)] does not.
     let unsafes = findings_for(&findings, "no-unsafe", "serve/src/raw_unsafe.rs");

@@ -37,7 +37,8 @@ pub enum ConfigError {
         /// The directory's limit.
         max: u32,
     },
-    /// Invalid per-cluster cache geometry.
+    /// Invalid per-cluster cache geometry, found when
+    /// [`crate::MemorySystem::try_new`] builds the caches.
     Cache(simcore::cache::CacheError),
 }
 

@@ -16,7 +16,7 @@
 //! to MERGE MISS and will block till the associated data returns").
 
 use simcore::addr::{line_base, line_of, LineAddr, LINE_BYTES};
-use simcore::cache::{CacheKind, EvictedLine, FullLruCache, SetAssocCache};
+use simcore::cache::{CacheKind, EvictedLine, SetAssocCache};
 use simcore::cast::usize_from;
 use simcore::space::{AddressSpace, Placement, ProcId};
 use simcore::stats::{LatencyClass, MissStats};
@@ -38,8 +38,8 @@ pub enum ProtocolError {
         /// The offending line address.
         line: LineAddr,
     },
-    /// The machine configuration is invalid (shape or the directory's
-    /// 64-cluster sharer-vector limit).
+    /// The machine configuration is invalid (shape, cache geometry or
+    /// the directory's 64-cluster sharer-vector limit).
     Config(ConfigError),
     /// The address space spans more lines than the dense directory
     /// holds ([`MAX_DIR_LINES`]), or its table could not be allocated.
@@ -102,81 +102,6 @@ pub struct CachedLine {
     pub state: LineState,
     /// Cycle at which the fill completes; reads before this merge-stall.
     pub pending_until: u64,
-}
-
-/// One cluster's shared cache, in whichever organization the
-/// configuration selects.
-#[derive(Debug, Clone)]
-enum ClusterCache {
-    Lru(FullLruCache<CachedLine>),
-    Assoc(SetAssocCache<CachedLine>),
-}
-
-impl ClusterCache {
-    fn new(kind: CacheKind) -> Self {
-        match kind {
-            CacheKind::Infinite => ClusterCache::Lru(FullLruCache::infinite()),
-            CacheKind::FullLru { lines } => ClusterCache::Lru(FullLruCache::new(lines)),
-            CacheKind::SetAssoc { lines, ways } => {
-                ClusterCache::Assoc(SetAssocCache::new(lines, ways))
-            }
-        }
-    }
-
-    #[inline]
-    fn get_mut(&mut self, line: LineAddr) -> Option<&mut CachedLine> {
-        match self {
-            ClusterCache::Lru(c) => c.get_mut(line),
-            ClusterCache::Assoc(c) => c.get_mut(line),
-        }
-    }
-
-    #[inline]
-    fn peek(&self, line: LineAddr) -> Option<&CachedLine> {
-        match self {
-            ClusterCache::Lru(c) => c.peek(line),
-            ClusterCache::Assoc(c) => c.peek(line),
-        }
-    }
-
-    #[inline]
-    fn peek_mut(&mut self, line: LineAddr) -> Option<&mut CachedLine> {
-        match self {
-            ClusterCache::Lru(c) => c.peek_mut(line),
-            ClusterCache::Assoc(c) => c.peek_mut(line),
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, line: LineAddr, val: CachedLine) -> Option<EvictedLine<CachedLine>> {
-        match self {
-            ClusterCache::Lru(c) => c.insert(line, val),
-            ClusterCache::Assoc(c) => c.insert(line, val),
-        }
-    }
-
-    #[inline]
-    fn remove(&mut self, line: LineAddr) -> Option<CachedLine> {
-        match self {
-            ClusterCache::Lru(c) => c.remove(line),
-            ClusterCache::Assoc(c) => c.remove(line),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            ClusterCache::Lru(c) => c.len(),
-            ClusterCache::Assoc(c) => c.len(),
-        }
-    }
-
-    /// Every resident line, in no particular order.
-    fn iter_lines(&self) -> Box<dyn Iterator<Item = (LineAddr, &CachedLine)> + '_> {
-        match self {
-            ClusterCache::Lru(c) => Box::new(c.iter_mru()),
-            ClusterCache::Assoc(c) => Box::new(c.iter()),
-        }
-    }
 }
 
 /// Directory entry for one line: its (sticky) home cluster, the sharer
@@ -405,7 +330,7 @@ pub struct MemorySystem {
     cfg: MachineConfig,
     /// One cache per cluster in shared-cache mode; one per *processor*
     /// in shared-memory-cluster mode.
-    caches: Vec<ClusterCache>,
+    caches: Vec<SetAssocCache<CachedLine>>,
     dir: Directory,
     space: AddressSpace,
     rr_next: u32,
@@ -437,10 +362,22 @@ impl MemorySystem {
         } else {
             cfg.n_clusters()
         };
+        // Every organization is a set-associative cache: a
+        // fully-associative one is a single set, an infinite one a
+        // single set of unbounded ways.
+        let (lines, ways) = match kind {
+            CacheKind::Infinite => (usize::MAX, usize::MAX),
+            CacheKind::FullLru { lines } => (lines, lines),
+            CacheKind::SetAssoc { lines, ways } => (lines, ways),
+        };
+        let caches = (0..n_caches)
+            .map(|_| SetAssocCache::try_new(lines, ways))
+            .collect::<Result<_, _>>()
+            .map_err(ConfigError::Cache)?;
         let dir = Directory::try_new(space)?;
         Ok(MemorySystem {
             cfg,
-            caches: (0..n_caches).map(|_| ClusterCache::new(kind)).collect(),
+            caches,
             dir,
             space: space.clone(),
             rr_next: 0,
@@ -813,7 +750,7 @@ impl MemorySystem {
             .iter()
             .map(|cache| {
                 let mut lines: Vec<CacheLineView> = cache
-                    .iter_lines()
+                    .iter()
                     .map(|(line, cl)| CacheLineView {
                         line,
                         state: cl.state,
@@ -895,7 +832,7 @@ impl MemorySystem {
         }
         // No cached line may lack a directory entry.
         for cache in &self.caches {
-            for (line, _) in cache.iter_lines() {
+            for (line, _) in cache.iter() {
                 if self.dir.get(line).is_none() {
                     return Err(format!("line {line:#x} cached without directory entry"));
                 }

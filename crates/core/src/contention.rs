@@ -18,21 +18,22 @@ use coherence::LatencyTable;
 
 /// Banks per processor in the shared cache (§3.1: "the shared cache
 /// has four banks for each processor in the cluster").
-pub const BANKS_PER_PROC: usize = 4;
+pub const BANKS_PER_PROC: u64 = 4;
 
 /// Number of banks for a cluster of `n` processors (Table 4: a single
-/// processor uses an unbanked cache).
-pub fn banks_for(n: u32) -> u32 {
+/// processor uses an unbanked cache). Widened to `u64`, so no `u32`
+/// cluster size overflows it.
+pub fn banks_for(n: u32) -> u64 {
     if n <= 1 {
         1
     } else {
-        n * BANKS_PER_PROC as u32
+        u64::from(n) * BANKS_PER_PROC
     }
 }
 
 /// Probability that a reference conflicts with at least one other
 /// reference: `1 - ((m-1)/m)^(n-1)`.
-pub fn bank_conflict_probability(n_procs: u32, m_banks: u32) -> f64 {
+pub fn bank_conflict_probability(n_procs: u32, m_banks: u64) -> f64 {
     assert!(n_procs >= 1 && m_banks >= 1);
     if n_procs == 1 {
         return 0.0;
@@ -42,7 +43,7 @@ pub fn bank_conflict_probability(n_procs: u32, m_banks: u32) -> f64 {
 
 /// The paper's Table 4 rows: `(processors, banks, conflict
 /// probability)` for the studied cluster sizes.
-pub fn table4() -> Vec<(u32, u32, f64)> {
+pub fn table4() -> Vec<(u32, u64, f64)> {
     [1u32, 2, 4, 8]
         .iter()
         .map(|&n| {

@@ -27,7 +27,7 @@ impl LatencyFactors {
     /// The factor at `latency` cycles (1..=4).
     pub fn at(&self, latency: u64) -> f64 {
         assert!((1..=4).contains(&latency));
-        self.by_latency[latency as usize - 1]
+        self.by_latency[usize::try_from(latency - 1).expect("1..=4 fits usize")]
     }
 }
 
@@ -38,7 +38,7 @@ impl LatencyFactors {
 /// the typed [`EngineError`].
 pub fn measure_latency_factors(trace: &Trace) -> Result<LatencyFactors, EngineError> {
     let machine = MachineConfig {
-        n_procs: trace.n_procs() as u32,
+        n_procs: crate::study::trace_procs(trace)?,
         per_cluster: 1,
         cache: CacheSpec::Infinite,
         lat: LatencyTable::uniform(0),
@@ -48,8 +48,8 @@ pub fn measure_latency_factors(trace: &Trace) -> Result<LatencyFactors, EngineEr
     };
     let base = exec_time(1)?;
     let mut by_latency = [1.0f64; 4];
-    for l in 2..=4u64 {
-        by_latency[l as usize - 1] = exec_time(l)? as f64 / base as f64;
+    for (slot, l) in by_latency.iter_mut().zip(1u64..).skip(1) {
+        *slot = exec_time(l)? as f64 / base as f64;
     }
     Ok(LatencyFactors { by_latency })
 }

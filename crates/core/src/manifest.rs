@@ -445,7 +445,7 @@ impl JournalEntry {
         Ok(JournalEntry {
             app: str_field(j, "app")?.to_string(),
             cache: str_field(j, "cache")?.to_string(),
-            cluster: u64_field(j, "cluster")? as u32,
+            cluster: u32_field(j, "cluster")?,
             stats: RunStats {
                 per_proc,
                 mem: MissStats {
@@ -474,7 +474,7 @@ impl JournalEntry {
                 })
                 .transpose()?,
             status,
-            attempts: u64_field(j, "attempts")? as u32,
+            attempts: u32_field(j, "attempts")?,
             sampling: j.get("sampling").and_then(SamplingStats::from_json),
         })
     }
@@ -490,6 +490,11 @@ fn u64_field(j: &Json, name: &str) -> Result<u64, String> {
     j.get(name)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing integer field {name:?}"))
+}
+
+fn u32_field(j: &Json, name: &str) -> Result<u32, String> {
+    let v = u64_field(j, name)?;
+    u32::try_from(v).map_err(|_| format!("field {name:?} = {v} exceeds u32"))
 }
 
 /// A whole tool invocation's worth of records plus provenance.

@@ -73,6 +73,16 @@ pub fn section5_caches() -> Vec<CacheSpec> {
         .collect()
 }
 
+/// The trace's processor count as a machine's `n_procs`; a count past
+/// `u32::MAX` is the typed [`EngineError::ProcCountMismatch`], since no
+/// machine provides it.
+pub(crate) fn trace_procs(trace: &Trace) -> Result<u32, EngineError> {
+    u32::try_from(trace.n_procs()).map_err(|_| EngineError::ProcCountMismatch {
+        trace: trace.n_procs(),
+        machine: u32::MAX,
+    })
+}
+
 /// Replays one cell of the study: `trace` on a machine of
 /// `trace.n_procs()` processors with the paper's Table 1 latencies,
 /// `per_cluster` processors per cluster and `cache` per processor.
@@ -94,7 +104,7 @@ pub fn run_cell(
     sampling: Option<&SampleSpec>,
 ) -> Result<(RunStats, Option<SamplingStats>), EngineError> {
     let machine = MachineConfig {
-        n_procs: trace.n_procs() as u32,
+        n_procs: trace_procs(trace)?,
         per_cluster,
         cache,
         lat: LatencyTable::paper(),

@@ -4,7 +4,8 @@
 //! `scan_store` and `ResultStore::open` answer `Ok` or a typed
 //! `StoreError`, and never panic. A swapped-in negative or overflowing
 //! number is how the fuzzer found `JournalEntry::from_json` panicking
-//! on a `wall_seconds` that is not a valid duration.
+//! on a `wall_seconds` that is not a valid duration; a `cluster` past
+//! `u32::MAX` was read truncated until the parser checked its width.
 //!
 //! Fixed seed and case count, so a run is reproducible without any
 //! environment: the cases are drawn by `simcore::propcheck` under an
@@ -15,7 +16,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use cluster_serve::store::{scan_store, shard_file_name, ResultStore, StoreEntry};
+use cluster_serve::store::{scan_store, shard_file_name, ResultStore, StoreEntry, StoreError};
 use cluster_study::parallel::RunStatus;
 use cluster_study::JournalEntry;
 use simcore::propcheck::{self, halves_and_each, Config, Gen};
@@ -297,4 +298,37 @@ fn mutated_valid_shards_never_panic_the_store_parsers() {
         },
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `line` with the integer value of `"field":` replaced by `value`.
+fn with_field(line: &str, field: &str, value: &str) -> String {
+    let key = format!("\"{field}\":");
+    let start = line.find(&key).expect("entry has the field") + key.len();
+    let len = line[start..]
+        .find(|c: char| !c.is_ascii_digit())
+        .expect("the number is not the line's end");
+    format!("{}{value}{}", &line[..start], &line[start + len..])
+}
+
+/// A `u32` field past `u32::MAX` is rejected, never truncated:
+/// `"cluster": 4294967304` (2^32 + 8) once loaded as cluster 8. Mid
+/// journal it is a malformed line; as the final line, a torn tail.
+#[test]
+fn u32_fields_past_u32_max_are_rejected_not_truncated() {
+    let header = "{\"schema\":\"clustered-smp/result-store/v2\",\"shard\":0,\"shards\":1}";
+    for field in ["cluster", "attempts"] {
+        let bad = with_field(&entry_line(0), field, "4294967304");
+        let mid = format!("{header}\n{bad}\n{}\n", entry_line(1));
+        match scan_store(&mid) {
+            Err(StoreError::Malformed { line: 2, reason }) => {
+                assert!(reason.contains(field), "{field}: {reason}")
+            }
+            other => panic!("{field} mid-journal: {other:?}"),
+        }
+        let tail = format!("{header}\n{}\n{bad}\n", entry_line(1));
+        let (entries, torn) = scan_store(&tail).expect("a bad final line is a torn tail");
+        assert!(torn, "{field}");
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].cell.cluster, 2);
+    }
 }

@@ -7,8 +7,12 @@
 //! intrusive doubly-linked recency list.
 //!
 //! The paper defers limited associativity (and the destructive
-//! interference it causes in shared caches) to future work; we provide
-//! [`SetAssocCache`] so the ablation benches can explore it.
+//! interference it causes in shared caches) to future work.
+//! [`SetAssocCache`] covers it as a set-indexed array of
+//! [`FullLruCache`]s, one per set, so `FullLruCache` is the one LRU
+//! implementation: a fully-associative cache is the one-set case, and
+//! the coherence protocol holds every cluster cache as a
+//! `SetAssocCache`.
 
 use crate::addr::LineAddr;
 use crate::hash::LineMap;
@@ -54,7 +58,17 @@ pub enum CacheError {
         /// Requested associativity.
         ways: usize,
     },
+    /// More sets than [`MAX_SETS`]: each set is a [`FullLruCache`]
+    /// allocated up front.
+    TooManySets {
+        /// The resulting set count.
+        sets: usize,
+    },
 }
+
+/// The most sets a [`SetAssocCache`] holds: 2^20, 32× the lines of the
+/// largest paper configuration (32 KB per processor on 64 processors).
+pub const MAX_SETS: usize = 1 << 20;
 
 impl std::fmt::Display for CacheError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -69,6 +83,9 @@ impl std::fmt::Display for CacheError {
             }
             CacheError::CapacityNotWaysMultiple { lines, ways } => {
                 write!(f, "capacity {lines} lines is not a multiple of {ways} ways")
+            }
+            CacheError::TooManySets { sets } => {
+                write!(f, "{sets} sets exceed the limit of {MAX_SETS}")
             }
         }
     }
@@ -285,13 +302,14 @@ impl<V> FullLruCache<V> {
     }
 }
 
-/// A set-associative cache with per-set LRU, for the limited-associativity
-/// extension study. Set index is taken from the low bits of the line
-/// address, as in a physically indexed cache.
+/// A set-associative LRU cache: one [`FullLruCache`] of `ways` lines
+/// per set, the set index taken from the low bits of the line address,
+/// as in a physically indexed cache. A fully-associative cache is the
+/// one-set case (`ways == capacity`), an infinite one a single set of
+/// `usize::MAX` ways.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<V> {
-    sets: Vec<Vec<(LineAddr, V)>>, // front = MRU
-    ways: usize,
+    sets: Vec<FullLruCache<V>>,
     set_mask: u64,
 }
 
@@ -328,31 +346,25 @@ impl<V> SetAssocCache<V> {
                 ways,
             });
         }
+        if n_sets > MAX_SETS {
+            return Err(CacheError::TooManySets { sets: n_sets });
+        }
         Ok(SetAssocCache {
-            sets: (0..n_sets).map(|_| Vec::with_capacity(ways)).collect(),
-            ways,
+            sets: (0..n_sets)
+                .map(|_| FullLruCache::try_new(ways))
+                .collect::<Result<_, _>>()?,
             set_mask: (n_sets - 1) as u64,
         })
     }
 
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
-    /// Total capacity in lines.
-    pub fn capacity(&self) -> usize {
-        self.sets.len() * self.ways
-    }
-
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.sets.iter().map(FullLruCache::len).sum()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(|s| s.is_empty())
+        self.sets.iter().all(FullLruCache::is_empty)
     }
 
     #[inline]
@@ -364,73 +376,52 @@ impl<V> SetAssocCache<V> {
 
     /// Whether `line` is resident (does not affect recency).
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.sets[self.set_of(line)].iter().any(|(l, _)| *l == line)
+        self.sets[self.set_of(line)].contains(line)
     }
 
     /// Payload of `line` without touching recency.
+    #[inline]
     pub fn peek(&self, line: LineAddr) -> Option<&V> {
-        self.sets[self.set_of(line)]
-            .iter()
-            .find(|(l, _)| *l == line)
-            .map(|(_, v)| v)
+        self.sets[self.set_of(line)].peek(line)
     }
 
     /// Mutable payload of `line`, promoting it to MRU within its set.
+    #[inline]
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut V> {
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
-        let pos = set.iter().position(|(l, _)| *l == line)?;
-        let entry = set.remove(pos);
-        set.insert(0, entry);
-        Some(&mut set[0].1)
+        let set = self.set_of(line);
+        self.sets[set].get_mut(line)
     }
 
     /// Mutable payload of `line` without touching recency.
+    #[inline]
     pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut V> {
-        let set_idx = self.set_of(line);
-        self.sets[set_idx]
-            .iter_mut()
-            .find(|(l, _)| *l == line)
-            .map(|(_, v)| v)
+        let set = self.set_of(line);
+        self.sets[set].peek_mut(line)
     }
 
     /// Inserts `line` as MRU of its set; evicts the set's LRU line when
     /// the set is full. The line must not already be resident.
+    #[inline]
     pub fn insert(&mut self, line: LineAddr, val: V) -> Option<EvictedLine<V>> {
-        let set_idx = self.set_of(line);
-        let ways = self.ways;
-        let set = &mut self.sets[set_idx];
-        assert!(
-            !set.iter().any(|(l, _)| *l == line),
-            "insert of already-resident line {line:#x}"
-        );
-        let evicted = if set.len() == ways {
-            // cluster_check: allow(no-panic) — set.len() == ways > 0
-            // here, so the set cannot be empty (internal invariant).
-            let (l, v) = set.pop().expect("full set is non-empty");
-            Some(EvictedLine { line: l, val: v })
-        } else {
-            None
-        };
-        set.insert(0, (line, val));
-        evicted
+        let set = self.set_of(line);
+        self.sets[set].insert(line, val)
     }
 
     /// Removes `line` (invalidation), returning its payload.
-    pub fn remove(&mut self, line: LineAddr) -> Option<V> {
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
-        let pos = set.iter().position(|(l, _)| *l == line)?;
-        Some(set.remove(pos).1)
+    #[inline]
+    pub fn remove(&mut self, line: LineAddr) -> Option<V>
+    where
+        V: Default,
+    {
+        let set = self.set_of(line);
+        self.sets[set].remove(line)
     }
 
     /// Iterates every resident line in set order (MRU-first within a
     /// set). For state inspection — invariant checks, the protocol
     /// model checker's snapshots — not for timing-sensitive paths.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &V)> {
-        self.sets
-            .iter()
-            .flat_map(|set| set.iter().map(|(l, v)| (*l, v)))
+        self.sets.iter().flat_map(FullLruCache::iter_mru)
     }
 }
 
@@ -602,6 +593,10 @@ mod tests {
         assert_eq!(
             SetAssocCache::<()>::try_new(9, 4).err(),
             Some(CacheError::CapacityNotWaysMultiple { lines: 9, ways: 4 })
+        );
+        assert_eq!(
+            SetAssocCache::<()>::try_new(MAX_SETS * 2, 1).err(),
+            Some(CacheError::TooManySets { sets: MAX_SETS * 2 })
         );
         assert!(SetAssocCache::<()>::try_new(8, 2).is_ok());
         // Display is human-readable, for CLI-level error surfacing.

@@ -11,9 +11,10 @@
 //!   owner-local for stacks and explicitly placed data).
 //! * [`ops`] — the packed trace-operation encoding used by the workload
 //!   suite and replayed by the timing engine.
-//! * [`cache`] — fully-associative LRU caches (the paper's configuration)
-//!   and set-associative caches (for the paper's stated future work on
-//!   limited associativity).
+//! * [`cache`] — the fully-associative LRU cache (the paper's
+//!   configuration) and set-associative caches built from it, one LRU
+//!   stack per set (the paper's stated future work on limited
+//!   associativity); a fully-associative cache is the one-set case.
 //! * [`stats`] — execution-time breakdowns (CPU busy / load stall / merge
 //!   stall / sync wait) and miss classification counters.
 //! * [`rng`] — self-contained seedable PRNG (SplitMix64-seeded

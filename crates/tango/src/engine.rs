@@ -590,6 +590,47 @@ mod tests {
         );
     }
 
+    /// Replays one read on a 1-processor cluster under a
+    /// set-associative cache of 4 KB and `ways` ways.
+    fn set_assoc_replay(ways: usize) -> Result<RunStats, EngineError> {
+        let mut b = TraceBuilder::new(1);
+        let a = b.space_mut().alloc_shared(64);
+        b.read(0, a);
+        let m = MachineConfig {
+            cache: CacheSpec::PerProcSetAssoc { bytes: 4096, ways },
+            ..cfg(1, 1)
+        };
+        try_run_with(&b.finish(), m, EngineOptions::default())
+    }
+
+    /// A bad set-associative geometry is a typed error from the
+    /// replay, never a panic.
+    #[test]
+    fn set_count_not_power_of_two_is_a_typed_error() {
+        use coherence::ConfigError;
+        use simcore::cache::CacheError;
+        // 64 lines in 3 ways: 21 sets.
+        assert_eq!(
+            set_assoc_replay(3).unwrap_err(),
+            EngineError::Protocol(ProtocolError::Config(ConfigError::Cache(
+                CacheError::SetsNotPowerOfTwo { sets: 21 }
+            )))
+        );
+        assert!(set_assoc_replay(4).is_ok());
+    }
+
+    #[test]
+    fn zero_ways_is_a_typed_error() {
+        use coherence::ConfigError;
+        use simcore::cache::CacheError;
+        assert_eq!(
+            set_assoc_replay(0).unwrap_err(),
+            EngineError::Protocol(ProtocolError::Config(ConfigError::Cache(
+                CacheError::ZeroWays
+            )))
+        );
+    }
+
     #[test]
     fn barrier_sync_accounting() {
         let mut b = TraceBuilder::new(2);
