@@ -123,10 +123,7 @@ impl CacheSpec {
                 let lines = usize::try_from(bytes / simcore::addr::LINE_BYTES)
                     .unwrap_or(usize::MAX)
                     .saturating_mul(simcore::cast::usize_from(procs_per_cluster));
-                CacheKind::SetAssoc {
-                    lines: lines.max(ways),
-                    ways,
-                }
+                CacheKind::SetAssoc { lines, ways }
             }
             CacheSpec::PrivatePerProc { bytes, .. } => CacheKind::full_lru_per_proc(bytes, 1),
         }

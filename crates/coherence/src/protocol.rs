@@ -830,15 +830,20 @@ impl MemorySystem {
                 }
             }
         }
-        // No cached line may lack a directory entry.
-        for cache in &self.caches {
-            for (line, _) in cache.iter() {
-                if self.dir.get(line).is_none() {
-                    return Err(format!("line {line:#x} cached without directory entry"));
-                }
-            }
+        // No cached line may lack a directory entry. Report the lowest
+        // such line: cache iteration order follows recency, which an
+        // infinite cache does not keep.
+        let orphan = self
+            .caches
+            .iter()
+            .flat_map(|cache| cache.iter())
+            .map(|(line, _)| line)
+            .filter(|&line| self.dir.get(line).is_none())
+            .min();
+        match orphan {
+            Some(line) => Err(format!("line {line:#x} cached without directory entry")),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -1140,6 +1145,27 @@ mod tests {
             err,
             format!("line {:#x}: dir says cluster 0 has it", line_of(a))
         );
+    }
+
+    /// With two cached lines lacking a directory entry, the report
+    /// names the lower one, though the higher one is the more recently
+    /// used in a finite cache and the first inserted in an infinite
+    /// one.
+    #[test]
+    fn check_invariants_reports_the_lowest_line_without_an_entry() {
+        for cache in [CacheSpec::PerProcBytes(LINE_BYTES * 4), CacheSpec::Infinite] {
+            let (mut m, a, _) = machine(1, cache);
+            let (lo, hi) = (line_of(a), line_of(a) + 1);
+            for line in [hi, lo] {
+                assert!(m.caches[0].insert(line, CachedLine::default()).is_none());
+            }
+            assert!(m.caches[0].get_mut(hi).is_some());
+            assert_eq!(
+                m.check_invariants().unwrap_err(),
+                format!("line {lo:#x} cached without directory entry"),
+                "{cache:?}"
+            );
+        }
     }
 
     #[test]

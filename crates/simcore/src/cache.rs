@@ -4,7 +4,10 @@
 //! "to exclude the effect of conflict misses from the performance
 //! characterizations" (§3.1). [`FullLruCache`] implements that with an
 //! O(1) [`LineMap`] (a hash map under the unkeyed line hasher) + an
-//! intrusive doubly-linked recency list.
+//! intrusive doubly-linked recency list. An infinite cache (capacity
+//! `usize::MAX`, the paper's §4 caches) never evicts, so no result can
+//! depend on its recency: a hit leaves its list alone, and the list
+//! only records insertion order.
 //!
 //! The paper defers limited associativity (and the destructive
 //! interference it causes in shared caches) to future work.
@@ -176,10 +179,15 @@ impl<V> FullLruCache<V> {
     }
 
     /// Mutable payload of `line`, promoting it to most-recently-used.
+    /// An infinite cache never evicts, so nothing can observe its
+    /// recency and it keeps none: its lines stay in insertion order.
+    #[inline]
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut V> {
         let &idx = self.map.get(&line)?;
-        self.unlink(idx);
-        self.push_front(idx);
+        if self.capacity != usize::MAX {
+            self.unlink(idx);
+            self.push_front(idx);
+        }
         Some(&mut self.slots[crate::cast::usize_from(idx)].val)
     }
 
@@ -256,7 +264,8 @@ impl<V> FullLruCache<V> {
         ))
     }
 
-    /// Iterates resident lines from most- to least-recently-used.
+    /// Iterates resident lines from most- to least-recently-used (an
+    /// infinite cache: most- to least-recently inserted).
     pub fn iter_mru(&self) -> impl Iterator<Item = (LineAddr, &V)> {
         let mut cur = self.head;
         std::iter::from_fn(move || {

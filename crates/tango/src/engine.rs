@@ -1,4 +1,23 @@
 //! The discrete-event replay engine.
+//!
+//! **Scheduler.** Every processor has a local clock. The running
+//! processor keeps running while its clock is at most the smallest
+//! clock among the other runnable processors, so a tie keeps the
+//! running processor (the sticky tie rule); once its clock is strictly
+//! later, the runnable processor with the smallest `(clock, id)` runs
+//! next. The other runnable processors sit in a binary min-heap keyed
+//! by `(clock, id)`. A switch replaces the heap's top with the running
+//! processor's key in place (one sift-down, no push), which is exact:
+//! that key is above the top, so a push and a pop would return the old
+//! top. Only a block (barrier, held lock) or a finish pops, and only a
+//! wake-up (barrier release, lock grant) pushes.
+//!
+//! **Taps.** The one replay loop is generic over a `Tap` that
+//! classifies each compute and memory operation and receives each
+//! access's outcome: `PlainTap` for [`try_run_with`], `ObserverTap` for
+//! [`try_run_observed`] and `PlanTap` for [`try_run_sampled`]. Each
+//! entry point compiles to its own step loop; the plain one measures
+//! every operation and observes none, with no per-op branch for either.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -190,7 +209,7 @@ pub fn try_run_with(
     machine: MachineConfig,
     opts: EngineOptions,
 ) -> Result<RunStats, EngineError> {
-    replay(trace, machine, opts, None, None).map(|r| r.stats)
+    replay(trace, machine, opts, &mut PlainTap).map(|r| r.stats)
 }
 
 /// Full replay with a witness observer: `observer` is called once for
@@ -209,7 +228,7 @@ pub fn try_run_observed(
     opts: EngineOptions,
     observer: &mut dyn FnMut(WitnessEvent),
 ) -> Result<RunStats, EngineError> {
-    replay(trace, machine, opts, None, Some(observer)).map(|r| r.stats)
+    replay(trace, machine, opts, &mut ObserverTap(observer)).map(|r| r.stats)
 }
 
 /// The witness classification of a memory outcome: `None` for a merge
@@ -224,6 +243,64 @@ fn commit_of(o: &Outcome) -> Option<CommitKind> {
         Outcome::Upgrade => Some(CommitKind::Upgrade),
         Outcome::MergeWait { .. } => None,
     }
+}
+
+/// What one replay does beyond plain timing: how it classifies each
+/// compute or memory operation, and what it does with each memory
+/// access's outcome. [`replay`] is generic over it, so each entry
+/// point compiles to its own step loop and the plain one carries no
+/// per-op classification, observer call or ledger swap.
+trait Tap {
+    /// Class of operation `idx` of processor `pid`.
+    fn class(&self, pid: usize, idx: usize) -> OpClass;
+    /// The outcome of processor `proc`'s access to `addr` issued at
+    /// `time` (merge waits included; they are not commits).
+    fn access(&mut self, time: u64, proc: u32, addr: u64, outcome: &Outcome);
+}
+
+/// Full replay: everything measured, nothing observed.
+struct PlainTap;
+
+impl Tap for PlainTap {
+    #[inline(always)]
+    fn class(&self, _: usize, _: usize) -> OpClass {
+        OpClass::Measure
+    }
+    #[inline(always)]
+    fn access(&mut self, _: u64, _: u32, _: u64, _: &Outcome) {}
+}
+
+/// Full replay with every committed access handed to an observer.
+struct ObserverTap<'a>(&'a mut dyn FnMut(WitnessEvent));
+
+impl Tap for ObserverTap<'_> {
+    #[inline(always)]
+    fn class(&self, _: usize, _: usize) -> OpClass {
+        OpClass::Measure
+    }
+    #[inline]
+    fn access(&mut self, time: u64, proc: u32, addr: u64, outcome: &Outcome) {
+        if let Some(commit) = commit_of(outcome) {
+            (self.0)(WitnessEvent {
+                time,
+                proc,
+                addr,
+                commit,
+            });
+        }
+    }
+}
+
+/// Sampled replay: each operation classified by the plan.
+struct PlanTap<'a>(&'a SamplePlan);
+
+impl Tap for PlanTap<'_> {
+    #[inline]
+    fn class(&self, pid: usize, idx: usize) -> OpClass {
+        self.0.class(pid, idx)
+    }
+    #[inline(always)]
+    fn access(&mut self, _: u64, _: u32, _: u64, _: &Outcome) {}
 }
 
 /// Sampled replay under a [`SamplePlan`]. Measured and warm
@@ -249,15 +326,14 @@ pub fn try_run_sampled(
     opts: EngineOptions,
     plan: &SamplePlan,
 ) -> Result<SampledRun, EngineError> {
-    replay(trace, machine, opts, Some(plan), None)
+    replay(trace, machine, opts, &mut PlanTap(plan))
 }
 
-fn replay(
+fn replay<T: Tap>(
     trace: &Trace,
     machine: MachineConfig,
     opts: EngineOptions,
-    plan: Option<&SamplePlan>,
-    mut observer: Option<&mut dyn FnMut(WitnessEvent)>,
+    tap: &mut T,
 ) -> Result<SampledRun, EngineError> {
     let n = trace.n_procs();
     if n != usize_from(machine.n_procs) {
@@ -292,37 +368,40 @@ fn replay(
     let mut barrier_waiting: Vec<u32> = Vec::with_capacity(n);
     let mut barrier_id: u32 = 0;
 
+    // The runnable processors other than the running one, keyed by
+    // (clock, pid); the module docs give the switch rule.
     let mut heap: BinaryHeap<Reverse<(u64, u32)>> =
         (0..machine.n_procs).map(|p| Reverse((0, p))).collect();
     let mut done = 0usize;
     let extra_load = opts.load_latency - 1;
 
-    while let Some(Reverse((t, pid))) = heap.pop() {
+    let mut next = heap.pop();
+    while let Some(Reverse((t, pid))) = next {
         let pidx = usize_from(pid);
         debug_assert_eq!(procs[pidx].clock, t, "stale heap entry");
         debug_assert_eq!(procs[pidx].status, ProcStatus::Runnable);
+        let ops = &trace.per_proc[pidx];
 
         // Run this processor while it remains the globally earliest.
-        'steps: loop {
-            let horizon = heap.peek().map(|Reverse((c, _))| *c).unwrap_or(u64::MAX);
-            if procs[pidx].clock > horizon {
-                heap.push(Reverse((procs[pidx].clock, pid)));
-                break 'steps;
+        next = 'steps: loop {
+            let clock = procs[pidx].clock;
+            if let Some(mut top) = heap.peek_mut() {
+                if clock > top.0 .0 {
+                    let Reverse(earliest) = std::mem::replace(&mut *top, Reverse((clock, pid)));
+                    break 'steps Some(Reverse(earliest));
+                }
             }
-            let ops = &trace.per_proc[pidx];
             if procs[pidx].idx >= ops.len() {
                 procs[pidx].status = ProcStatus::Done;
                 done += 1;
-                break 'steps;
+                break 'steps heap.pop();
             }
             let op = ops[procs[pidx].idx].unpack();
             // Sampling classification applies only to compute and
             // memory operations; synchronization always executes so
             // barrier ordering and FIFO lock grants are preserved.
-            let class = match (plan, op) {
-                (Some(pl), Op::Compute(_) | Op::Read(_) | Op::Write(_)) => {
-                    pl.class(pidx, procs[pidx].idx)
-                }
+            let class = match op {
+                Op::Compute(_) | Op::Read(_) | Op::Write(_) => tap.class(pidx, procs[pidx].idx),
                 _ => OpClass::Measure,
             };
             if class == OpClass::Skip {
@@ -368,14 +447,7 @@ fn replay(
                         std::mem::swap(&mut mem.stats, &mut warm_mem);
                     }
                     let outcome = r?;
-                    if let (Some(obs), Some(k)) = (observer.as_mut(), commit_of(&outcome)) {
-                        obs(WitnessEvent {
-                            time: now,
-                            proc: pid,
-                            addr: a,
-                            commit: k,
-                        });
-                    }
+                    tap.access(now, pid, a, &outcome);
                     let p = &mut procs[pidx];
                     let bd = if measure { &mut p.bd } else { &mut p.warm_bd };
                     match outcome {
@@ -440,7 +512,7 @@ fn replay(
                     } else {
                         barrier_waiting.push(pid);
                         procs[pidx].status = ProcStatus::InBarrier;
-                        break 'steps;
+                        break 'steps heap.pop();
                     }
                 }
                 Op::Lock(id) => {
@@ -460,7 +532,7 @@ fn replay(
                         p.blocked_at = p.clock;
                         p.status = ProcStatus::WaitingLock;
                         p.idx += 1; // acquisition completes at grant time
-                        break 'steps;
+                        break 'steps heap.pop();
                     }
                 }
                 Op::Unlock(id) => {
@@ -492,7 +564,7 @@ fn replay(
                     }
                 }
             }
-        }
+        };
     }
 
     if done != n {
@@ -591,13 +663,13 @@ mod tests {
     }
 
     /// Replays one read on a 1-processor cluster under a
-    /// set-associative cache of 4 KB and `ways` ways.
-    fn set_assoc_replay(ways: usize) -> Result<RunStats, EngineError> {
+    /// set-associative cache of `bytes` and `ways` ways.
+    fn set_assoc_replay(bytes: u64, ways: usize) -> Result<RunStats, EngineError> {
         let mut b = TraceBuilder::new(1);
         let a = b.space_mut().alloc_shared(64);
         b.read(0, a);
         let m = MachineConfig {
-            cache: CacheSpec::PerProcSetAssoc { bytes: 4096, ways },
+            cache: CacheSpec::PerProcSetAssoc { bytes, ways },
             ..cfg(1, 1)
         };
         try_run_with(&b.finish(), m, EngineOptions::default())
@@ -611,12 +683,26 @@ mod tests {
         use simcore::cache::CacheError;
         // 64 lines in 3 ways: 21 sets.
         assert_eq!(
-            set_assoc_replay(3).unwrap_err(),
+            set_assoc_replay(4096, 3).unwrap_err(),
             EngineError::Protocol(ProtocolError::Config(ConfigError::Cache(
                 CacheError::SetsNotPowerOfTwo { sets: 21 }
             )))
         );
-        assert!(set_assoc_replay(4).is_ok());
+        assert!(set_assoc_replay(4096, 4).is_ok());
+    }
+
+    /// A set-associative spec smaller than one set is rejected as
+    /// given, never grown to fit: 128 bytes is 2 lines, below 4 ways.
+    #[test]
+    fn set_assoc_capacity_below_ways_is_a_typed_error() {
+        use coherence::ConfigError;
+        use simcore::cache::CacheError;
+        assert_eq!(
+            set_assoc_replay(128, 4).unwrap_err(),
+            EngineError::Protocol(ProtocolError::Config(ConfigError::Cache(
+                CacheError::CapacityBelowWays { lines: 2, ways: 4 }
+            )))
+        );
     }
 
     #[test]
@@ -624,7 +710,7 @@ mod tests {
         use coherence::ConfigError;
         use simcore::cache::CacheError;
         assert_eq!(
-            set_assoc_replay(0).unwrap_err(),
+            set_assoc_replay(4096, 0).unwrap_err(),
             EngineError::Protocol(ProtocolError::Config(ConfigError::Cache(
                 CacheError::ZeroWays
             )))

@@ -7,7 +7,8 @@
 //!
 //! Scheduling: each logical processor has a local clock; the engine
 //! always advances the runnable processor with the smallest clock (a
-//! binary heap), so every memory-system interaction is observed in
+//! binary heap; on a tie the running processor keeps running, see
+//! [`engine`]), so every memory-system interaction is observed in
 //! global timestamp order. Cache hits cost a single cycle ("This
 //! simulator produces application execution times by simulating with
 //! single cycle cache hits"); READ misses stall for the Table 1

@@ -2,88 +2,22 @@
 //! determinism, and ordering laws hold for arbitrary generated traces.
 //! Runs on the in-tree `simcore::propcheck` harness (48 cases by
 //! default, matching the old proptest config; `PROPCHECK_CASES`
-//! overrides). Cases are the per-processor op scripts; the trace is
-//! rebuilt inside each property so shrinking by halving a script
-//! yields a smaller but still structurally valid trace.
+//! overrides). Cases are the per-processor op scripts of
+//! [`common::arb_scripts`]; the trace is rebuilt inside each property.
+
+mod common;
 
 use coherence::config::CacheSpec;
 use coherence::{LatencyTable, MachineConfig};
+use common::{arb_scripts, build_trace, machine, shrink_scripts, CACHES};
 use simcore::ops::{Op, Trace, TraceBuilder};
-use simcore::propcheck::{self, halves, Gen};
+use simcore::propcheck::{self, halves};
 use simcore::sample::SamplePlan;
 use simcore::stats::RunStats;
 use simcore::{prop_ensure, prop_ensure_eq};
 use tango::{EngineOptions, SampledRun};
 
 const CASES: u32 = 48;
-
-/// One scripted action: `(kind, value)` with kind 0=read line, 1=write
-/// line, 2=compute cycles, 3=locked counter bump.
-type Script = Vec<(u8, u64)>;
-
-/// Random but structurally valid multi-processor scripts: per processor
-/// a mix of reads/writes/computes over a shared region plus optional
-/// balanced lock sections.
-fn arb_scripts(g: &mut Gen, n_procs: usize) -> Vec<Script> {
-    (0..n_procs)
-        .map(|_| {
-            g.vec_of(1..60, |g| match g.u8_in(0..4) {
-                0 => (0u8, g.u64_in(0..64)), // read line l
-                1 => (1u8, g.u64_in(0..64)), // write line l
-                2 => (2u8, g.u64_in(1..50)), // compute c
-                _ => (3u8, 0),               // locked counter bump
-            })
-        })
-        .collect()
-}
-
-/// Shrink candidates: halve one processor's script at a time (keeping
-/// at least one op so the structure assumptions hold).
-fn shrink_scripts(scripts: &[Script]) -> Vec<Vec<Script>> {
-    let mut out = Vec::new();
-    for (p, script) in scripts.iter().enumerate() {
-        for smaller in halves(script) {
-            if smaller.is_empty() {
-                continue;
-            }
-            let mut candidate = scripts.to_vec();
-            candidate[p] = smaller;
-            out.push(candidate);
-        }
-    }
-    out
-}
-
-/// Builds the two-phase barrier-separated trace the old proptest
-/// generator produced: same script replayed in each phase, with a
-/// shared data region, a lock-protected counter, and a global barrier
-/// after every phase.
-fn build_trace(scripts: &[Script]) -> Trace {
-    let mut b = TraceBuilder::new(scripts.len());
-    let base = b.space_mut().alloc_shared(64 * 64);
-    let counter = b.space_mut().alloc_shared(64);
-    let lock = b.new_lock();
-    for _phase in 0..2 {
-        for (p, script) in scripts.iter().enumerate() {
-            let pid = p as u32;
-            for &(kind, v) in script {
-                match kind {
-                    0 => b.read(pid, base + v * 64),
-                    1 => b.write(pid, base + v * 64),
-                    2 => b.compute(pid, v),
-                    _ => {
-                        b.lock(pid, lock);
-                        b.read(pid, counter);
-                        b.write(pid, counter);
-                        b.unlock(pid, lock);
-                    }
-                }
-            }
-        }
-        b.barrier_all();
-    }
-    b.finish()
-}
 
 /// Full replay under default options; an engine error fails the case.
 fn replay(trace: &Trace, m: MachineConfig) -> Result<RunStats, String> {
@@ -97,15 +31,6 @@ fn replay_sampled(
     plan: &SamplePlan,
 ) -> Result<SampledRun, String> {
     tango::try_run_sampled(trace, m, EngineOptions::default(), plan).map_err(|e| e.to_string())
-}
-
-fn machine(n_procs: u32, per_cluster: u32, cache: CacheSpec) -> MachineConfig {
-    MachineConfig {
-        n_procs,
-        per_cluster,
-        cache,
-        lat: LatencyTable::paper(),
-    }
 }
 
 #[test]
@@ -355,5 +280,49 @@ fn sampled_ledgers_conserve_the_full_replay() {
     assert!(
         non_vacuous.get() > 0,
         "no generated case warmed any operation"
+    );
+}
+
+#[test]
+fn observed_replay_matches_plain_and_commits_in_time_order() {
+    propcheck::check_cases(
+        CASES,
+        "observed_replay_matches_plain_and_commits_in_time_order",
+        |g| {
+            (
+                arb_scripts(g, 4),
+                g.pick(&[1u32, 2, 4]),
+                g.usize_in(0..CACHES.len()),
+            )
+        },
+        |(s, pc, c)| {
+            shrink_scripts(s)
+                .into_iter()
+                .map(|s| (s, *pc, *c))
+                .collect()
+        },
+        |(scripts, per_cluster, cache)| {
+            let trace = build_trace(scripts);
+            let m = machine(4, *per_cluster, CACHES[*cache]);
+            let plain = replay(&trace, m)?;
+            let mut times = Vec::new();
+            let observed =
+                tango::try_run_observed(&trace, m, EngineOptions::default(), &mut |ev| {
+                    times.push(ev.time)
+                })
+                .map_err(|e| e.to_string())?;
+            prop_ensure_eq!(observed, plain);
+            // Every access commits once; merge waits are not commits.
+            prop_ensure_eq!(times.len() as u64, trace.total_refs());
+            if let Some(i) = times.windows(2).position(|w| w[1] < w[0]) {
+                return Err(format!(
+                    "commit {} at time {} after one at {}",
+                    i + 1,
+                    times[i + 1],
+                    times[i]
+                ));
+            }
+            Ok(())
+        },
     );
 }
